@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import perms, words
-from .errors import ClosureTooLarge, NotReduced, RankTooLarge
+from .errors import ClosureTooLarge, NotCFC, NotReduced, RankTooLarge
 
 Word = tuple[int, ...]
 
@@ -195,6 +195,31 @@ def _runs(sup: tuple[int, ...]) -> list[tuple[int, int]]:
         else:
             runs.append((g, g))
     return runs
+
+
+def require_cfc(word, rank: int) -> Word:
+    """Validate a CFC word once, at an API boundary, by the default route."""
+    word = words.check_word(word, rank)
+    verdict = is_cfc(word, rank)
+    if not verdict.is_cfc:
+        raise NotCFC(f"{list(word)} is not CFC: {verdict.witness}")
+    return word
+
+
+def chunk_layout(word: Word) -> tuple[tuple[int, int, tuple[bool, ...]], ...]:
+    """
+    The chunks of a validated CFC word's heap: (start, size, bits) for each
+    run of its sorted support, where bits[j] is True when generator start+j
+    precedes start+j+1 in the word.
+
+    >>> chunk_layout((2, 1, 3, 5))
+    ((1, 3, (False, True)), (5, 1, ()))
+    """
+    pos = {g: i for i, g in enumerate(word)}
+    return tuple(
+        (lo, hi - lo + 1, tuple(pos[g] < pos[g + 1] for g in range(lo, hi)))
+        for lo, hi in _runs(tuple(sorted(pos)))
+    )
 
 
 def _distinct_letter_elements(rank: int, supports) -> frozenset[Word]:

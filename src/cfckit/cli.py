@@ -91,11 +91,11 @@ def _dispatch(args) -> tuple[dict | str, str | None]:
         elements = _ENUMERATORS[args.kind](args.rank, max_rank=_cap(args, classify.ENUM_RANK_CAP))
         ordered = sorted(elements, key=lambda w: (len(w), w))
         payload = {"rank": args.rank, "kind": args.kind, "elements": [list(w) for w in ordered]}
-        text = "\n".join(serialize.format_word_text(w) for w in ordered) + "\n"
+        text = "\n".join(serialize.format_word_text(w, args.rank) for w in ordered) + "\n"
         return payload, text
 
     if args.command == "classify":
-        word = serialize.parse_word_text(args.word)
+        word = serialize.parse_word_text(args.word, args.rank)
         fc = classify.is_fc(word, args.rank)
         cfc = classify.is_cfc(word, args.rank)
         payload = {
@@ -108,31 +108,31 @@ def _dispatch(args) -> tuple[dict | str, str | None]:
             "cfc": serialize.cfc_verdict_to_obj(cfc),
         }
         text = (
-            f"word {serialize.format_word_text(word)} (rank {args.rank}): "
+            f"word {serialize.format_word_text(word, args.rank)} (rank {args.rank}): "
             f"FC={fc.is_fc} CFC={cfc.is_cfc}\n"
         )
         return payload, text
 
     if args.command == "conj":
-        w = serialize.parse_word_text(args.w)
-        y = serialize.parse_word_text(args.y)
+        w = serialize.parse_word_text(args.w, args.rank)
+        y = serialize.parse_word_text(args.y, args.rank)
         conjugate = rings.is_conjugate_cfc(w, y, args.rank)
         payload = {"rank": args.rank, "w": list(w), "y": list(y), "conjugate": conjugate}
         return payload, f"conjugate: {conjugate}\n"
 
     if args.command == "witness":
-        w = serialize.parse_word_text(args.w)
-        y = serialize.parse_word_text(args.y)
+        w = serialize.parse_word_text(args.w, args.rank)
+        y = serialize.parse_word_text(args.y, args.rank)
         cert = rings.conjugacy_witness(w, y, args.rank)
         if cert is None:
             return {"rank": args.rank, "conjugate": False}, "not conjugate\n"
         payload = serialize.certificate_to_obj(cert)
         payload["rank"] = args.rank
-        text = f"conjugator: {serialize.format_word_text(cert.conjugator)}\n"
+        text = f"conjugator: {serialize.format_word_text(cert.conjugator, args.rank)}\n"
         return payload, text
 
     if args.command == "render":
-        word = serialize.parse_word_text(args.word)
+        word = serialize.parse_word_text(args.word, args.rank)
         heap = heaps.build_heap(word, args.rank)
         drawing = heaps.render(heap, args.render_format)
         if args.out:
@@ -149,9 +149,10 @@ def _dispatch(args) -> tuple[dict | str, str | None]:
             lines.append(f"ring sizes {list(group.ring_sizes)}:")
             for cyc in group.cyclic_classes:
                 members = ", ".join(
-                    serialize.format_word_text(cls[0]) for cls in cyc.commutation_classes
+                    serialize.format_word_text(cls[0], args.rank) for cls in cyc.commutation_classes
                 )
-                lines.append(f"  cyclic class {serialize.format_word_text(cyc.canonical_word)}: {members}")
+                canonical = serialize.format_word_text(cyc.canonical_word, args.rank)
+                lines.append(f"  cyclic class {canonical}: {members}")
         return payload, "\n".join(lines) + "\n"
 
     if args.command == "conjecture-check":

@@ -27,6 +27,12 @@ class ClosureTooLarge(CfcError):
     code = "closure_too_large"
 
 
+class InvalidSetting(CfcError):
+    """An environment setting does not hold a value of the required form."""
+
+    code = "invalid_setting"
+
+
 class RankTooLarge(CfcError):
     """An enumeration was requested above the configured rank cap."""
 
@@ -67,6 +73,12 @@ class PatternMismatch(CfcError):
     """The word does not carry the expected factor at the given position."""
 
     code = "pattern_mismatch"
+
+
+class InvalidObject(CfcError):
+    """A loaded JSON object contradicts the value it claims to describe."""
+
+    code = "invalid_object"
 
 
 class VerificationFailed(CfcError):

@@ -11,7 +11,12 @@ adjacent, y > y', and neither column holds a block strictly between.
 
 The cylinder view identifies top and bottom: cyclic shifts move a maximal
 block to the floor, and the equivalence class of a CFC heap under shifts
-is summarized by its lex-least word over all shifts and commutations.
+is summarized by its lex-least word over all shifts and commutations.  In
+type A that is the sorted support: a CFC heap has one block per support
+generator, a shift flips a source of the support's path graph into a sink,
+and on a path such flips join all orientations (Eriksson & Eriksson,
+"Conjugacy of Coxeter elements", 2009).  :func:`cyclic_orbit` walks the
+class literally and stays as the reference.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import classify, words
-from .errors import NotCFC, NotMaximalBlock, NotReduced
+from .errors import ClosureTooLarge, NotMaximalBlock, NotReduced
 
 Word = tuple[int, ...]
 
@@ -240,38 +245,35 @@ def cyclic_orbit(word, rank: int) -> frozenset[Word]:
     """
     All words reachable from a CFC word by commutations and cyclic shifts;
     two CFC elements are cyclically equivalent iff their orbits coincide.
+    The walk stops with ClosureTooLarge past ``words.closure_cap()`` words.
     """
-    word = words.check_word(word, rank)
-    verdict = classify.is_cfc(word, rank)
-    if not verdict.is_cfc:
-        raise NotCFC(f"{list(word)} is not CFC: {verdict.witness}")
+    word = classify.require_cfc(word, rank)
+    cap = words.closure_cap()
     seen = {word}
     queue = deque([word])
     while queue:
         u = queue.popleft()
-        for v in words.commutation_moves(u):
+        for v in (*words.commutation_moves(u), words.cyclic_shift(u)):
             if v not in seen:
+                if len(seen) >= cap:
+                    raise ClosureTooLarge(f"cyclic orbit exceeds {cap} words")
                 seen.add(v)
                 queue.append(v)
-        v = words.cyclic_shift(u)
-        if v not in seen:
-            seen.add(v)
-            queue.append(v)
     return frozenset(seen)
 
 
 def cylindrical_canonical(word, rank: int) -> CylindricalHeap:
     """
     Canonical form of the cylinder class of a CFC word: the lex-least word
-    over all commutation-class members of all cyclic shifts.
+    over all commutation-class members of all cyclic shifts, which is the
+    sorted support (see the module docstring).
 
     >>> cylindrical_canonical((2, 3, 1), 4).canonical_word
     (1, 2, 3)
     """
-    orbit = cyclic_orbit(word, rank)
-    canonical = min(orbit)
-    profile = tuple((c.start, c.size) for c in chunks(_assemble(canonical, rank)))
-    return CylindricalHeap(canonical, profile)
+    word = classify.require_cfc(word, rank)
+    profile = tuple((start, size) for start, size, _ in classify.chunk_layout(word))
+    return CylindricalHeap(tuple(sorted(word)), profile)
 
 
 def render(heap: Heap, fmt: str = "ascii") -> str:

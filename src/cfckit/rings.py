@@ -12,14 +12,12 @@ certificate is returned.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from . import classify, heaps, perms, words
+from . import classify, perms, words
 from .errors import (
     ChunkAtBoundary,
     InvalidGenerator,
-    NotCFC,
     OutOfRange,
     PatternMismatch,
     VerificationFailed,
@@ -42,14 +40,6 @@ class ConjugacyCertificate:
     verified: bool
 
 
-def _require_cfc(word, rank: int) -> Word:
-    word = words.check_word(word, rank)
-    verdict = classify.is_cfc(word, rank)
-    if not verdict.is_cfc:
-        raise NotCFC(f"{list(word)} is not CFC: {verdict.witness}")
-    return word
-
-
 def rings_of(word, rank: int) -> tuple[Ring, ...]:
     """
     One ring per chunk of the heap, ordered by start column.
@@ -59,10 +49,8 @@ def rings_of(word, rank: int) -> tuple[Ring, ...]:
     >>> rings_of((1,), 2)
     (Ring(start=1, size=1),)
     """
-    word = _require_cfc(word, rank)
-    return tuple(
-        Ring(c.start, len(c.block_ids)) for c in heaps.chunks(heaps.build_heap(word, rank))
-    )
+    word = classify.require_cfc(word, rank)
+    return tuple(Ring(start, size) for start, size, _ in classify.chunk_layout(word))
 
 
 def slide_equivalent(w, y, rank: int) -> bool:
@@ -206,84 +194,47 @@ def stst_rewrite(word, pos: int) -> Word:
     return word[:pos] + (j, i) + word[pos + 4 :]
 
 
-def _config_of(word: Word, rank: int) -> list[list]:
-    """The chunk configuration of a CFC word: [start, size, bits] per chunk,
-    where bits[j] is True when generator start+j precedes start+j+1."""
-    pos = {g: i for i, g in enumerate(word)}
-    config = []
-    for chunk in heaps.chunks(heaps.build_heap(word, rank)):
-        a, size = chunk.start, chunk.size
-        bits = tuple(pos[g] < pos[g + 1] for g in range(a, a + size - 1))
-        config.append([a, size, bits])
-    return config
-
-
 def _diagonalize_steps(start: int, bits: tuple[bool, ...]) -> list[int]:
     """Shortest sequence of cyclic shifts making the chunk diagonal.
 
     A shift is legal at generator g when its block is maximal within the
-    chunk; the orientation graph of a path is connected under these moves,
-    so the search always reaches the all-forward state.
+    chunk.  Shifting the leftmost maximal generator past the first column
+    moves one backward edge one column right, or out past the last column,
+    so no shorter sequence exists.  A shift at column j changes only
+    whether columns j-1..j+1 are maximal, so the search resumes at j-1.
     """
-    target = (True,) * len(bits)
-    if bits == target:
-        return []
-    parents: dict[tuple[bool, ...], tuple[tuple[bool, ...], int]] = {bits: (bits, 0)}
-    queue = deque([bits])
-    while queue:
-        state = queue.popleft()
-        for j in range(len(bits) + 1):
-            g = start + j
-            # g is maximal iff it precedes both neighbors inside the chunk
-            if j > 0 and state[j - 1]:
-                continue
-            if j < len(bits) and not state[j]:
-                continue
-            new = list(state)
-            if j > 0:
-                new[j - 1] = True
-            if j < len(bits):
-                new[j] = False
-            new_state = tuple(new)
-            if new_state in parents:
-                continue
-            parents[new_state] = (state, g)
-            if new_state == target:
-                path = []
-                s = new_state
-                while s != bits:
-                    s, letter = parents[s]
-                    path.append(letter)
-                path.reverse()
-                return path
-            queue.append(new_state)
-    raise VerificationFailed("diagonal orientation unreachable")  # pragma: no cover
+    state = list(bits)
+    steps = []
+    j = 1
+    while not all(state):
+        # j > 0 is maximal iff j-1 follows it and j+1 (if any) precedes it
+        while state[j - 1] or (j < len(state) and not state[j]):
+            j += 1
+        state[j - 1] = True
+        if j < len(state):
+            state[j] = False
+        steps.append(start + j)
+        j = max(j - 1, 1)
+    return steps
 
 
-def _normalize(word: Word, rank: int) -> list[int]:
-    """Conjugator X (as a letter list) taking the element of ``word`` to the
-    simple element with the same ring sizes sorted descending, packed left."""
-    config = _config_of(word, rank)
-    conjugator: list[int] = []
+def _normalize(layout) -> list[int]:
+    """The letters of X^-1, where conjugation by X takes the element with
+    this chunk layout to the simple element with the same ring sizes
+    sorted descending, packed left.  Each step prepends a piece to X, so
+    it appends the reversed piece to X^-1."""
+    inverse: list[int] = []
+    for start, _, bits in layout:
+        inverse.extend(_diagonalize_steps(start, bits))
 
-    for chunk in config:
-        start, _, bits = chunk
-        steps = _diagonalize_steps(start, bits)
-        for g in steps:
-            conjugator.insert(0, g)
-        chunk[2] = (True,) * len(bits)
+    target = 1  # chunks stay separated, so each one's start is >= target
+    for start, size, _ in layout:
+        for a in range(start, target, -1):
+            # the rightward slide word (a-1, ..., a+size-1)
+            inverse.extend(range(a - 1, a + size))
+        target += size + 1
 
-    target = 1
-    for chunk in config:
-        size = chunk[1]
-        while chunk[0] > target:
-            a, b = chunk[0], chunk[0] + size - 1
-            # inverse of the rightward slide word (a-1, ..., b)
-            conjugator[:0] = range(b, a - 2, -1)
-            chunk[0] -= 1
-        target = chunk[0] + size + 1
-
-    sizes = [chunk[1] for chunk in config]
+    sizes = [size for _, size, _ in layout]
     changed = True
     while changed:
         changed = False
@@ -291,25 +242,12 @@ def _normalize(word: Word, rank: int) -> list[int]:
         for i in range(len(sizes) - 1):
             small, big = sizes[i], sizes[i + 1]
             if small < big:
-                # inverse of the (big, small) -> (small, big) swap at offset
-                conjugator[:0] = reversed(_swap_word(big, small, offset))
+                # the (big, small) -> (small, big) swap at offset
+                inverse.extend(_swap_word(big, small, offset))
                 sizes[i], sizes[i + 1] = big, small
                 changed = True
             offset += sizes[i] + 1
-    return conjugator
-
-
-def simple_word(sizes, rank: int) -> Word:
-    """The word of the simple element with the given chunk sizes, laid out
-    left to right with one empty column between chunks."""
-    out = []
-    start = 1
-    for size in sizes:
-        out.extend(range(start, start + size))
-        start += size + 1
-    if out and out[-1] > rank:
-        raise OutOfRange(f"chunk sizes {list(sizes)} do not fit in rank {rank}")
-    return tuple(out)
+    return inverse
 
 
 def conjugacy_witness(w, y, rank: int) -> ConjugacyCertificate | None:
@@ -324,13 +262,14 @@ def conjugacy_witness(w, y, rank: int) -> ConjugacyCertificate | None:
     >>> conjugacy_witness((1, 2), (1, 3), 3) is None
     True
     """
-    w = _require_cfc(w, rank)
-    y = _require_cfc(y, rank)
-    if not ring_equivalent(w, y, rank):
+    w = classify.require_cfc(w, rank)
+    y = classify.require_cfc(y, rank)
+    layout_w = classify.chunk_layout(w)
+    layout_y = classify.chunk_layout(y)
+    if sorted(size for _, size, _ in layout_w) != sorted(size for _, size, _ in layout_y):
         return None
-    x_w = _normalize(w, rank)
-    x_y = _normalize(y, rank)
-    conjugator = tuple(reversed(x_y)) + tuple(x_w)
+    # X_y^-1 X_w carries w to the common simple form and on to y
+    conjugator = tuple(_normalize(layout_y)) + tuple(reversed(_normalize(layout_w)))
     p_w = perms.to_permutation(w, rank)
     p_y = perms.to_permutation(y, rank)
     p_x = perms.to_permutation(conjugator, rank)

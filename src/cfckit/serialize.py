@@ -1,49 +1,51 @@
 """JSON object forms and text notations for the package's value types.
 
 Words serialize as integer arrays with the rank carried alongside; the text
-notation is a digit string for ranks up to 9 and comma-separated otherwise.
-Cycles print as ``(1 2 4 5)`` and are normalized smallest-first on parse.
+notation is a digit string for ranks up to 9 and comma-separated above, so
+generator 12 at rank 12 reads as itself.  Cycles print as ``(1 2 4 5)`` and
+are normalized smallest-first on parse.  Loaders check heaps and
+certificates again rather than trusting them.
 """
 
 from __future__ import annotations
 
-from . import conjecture, heaps, rings, tables
-from .errors import InvalidGenerator
+from . import conjecture, heaps, perms, rings, tables
+from .errors import InvalidGenerator, InvalidObject
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
 
 
-def parse_word_text(text: str) -> Word:
+def parse_word_text(text: str, rank: int) -> Word:
     """
-    >>> parse_word_text("12342")
+    >>> parse_word_text("12342", 4)
     (1, 2, 3, 4, 2)
-    >>> parse_word_text("10,2,11")
+    >>> parse_word_text("10,2,11", 11)
     (10, 2, 11)
-    >>> parse_word_text("e")
+    >>> parse_word_text("e", 3)
     ()
     """
     text = text.strip()
     if text in ("", "e"):
         return ()
     try:
-        if "," in text:
+        if "," in text or rank > 9:
             return tuple(int(part) for part in text.split(","))
         return tuple(int(ch) for ch in text)
     except ValueError:
         raise InvalidGenerator(f"cannot parse word {text!r}") from None
 
 
-def format_word_text(word: Word) -> str:
+def format_word_text(word: Word, rank: int) -> str:
     """
-    >>> format_word_text((1, 2, 3, 4, 2))
+    >>> format_word_text((1, 2, 3, 4, 2), 4)
     '12342'
-    >>> format_word_text(())
+    >>> format_word_text((), 3)
     'e'
     """
     if not word:
         return "e"
-    if max(word) <= 9:
+    if rank <= 9:
         return "".join(str(g) for g in word)
     return ",".join(str(g) for g in word)
 
@@ -98,7 +100,10 @@ def heap_from_obj(obj: dict) -> heaps.Heap:
         heaps.Block(i, entry["gen"], entry["level"]) for i, entry in enumerate(obj["blocks"])
     )
     covers = frozenset((a, b) for a, b in obj["covers"])
-    return heaps.Heap(int(obj["rank"]), blocks, covers)
+    heap = heaps.Heap(int(obj["rank"]), blocks, covers)
+    if heaps._assemble(heap.word(), heap.rank) != heap:
+        raise InvalidObject("heap levels or covers do not match its block letters")
+    return heap
 
 
 def fc_verdict_to_obj(verdict) -> dict:
@@ -119,12 +124,16 @@ def certificate_to_obj(cert: rings.ConjugacyCertificate) -> dict:
 
 
 def certificate_from_obj(obj: dict) -> rings.ConjugacyCertificate:
-    return rings.ConjugacyCertificate(
-        source=tuple(obj["source"]),
-        target=tuple(obj["target"]),
-        conjugator=tuple(obj["conjugator"]),
-        verified=bool(obj["verified"]),
-    )
+    """Load a certificate after checking it again: S_{m+1} embeds in every
+    larger symmetric group, so the largest letter m fixes enough degree."""
+    source, target, conjugator = (tuple(obj[key]) for key in ("source", "target", "conjugator"))
+    rank = max(source + target + conjugator, default=1)
+    p_source, p_target, p_x = (perms.to_permutation(w, rank) for w in (source, target, conjugator))
+    if perms.conjugate(p_source, p_x) != p_target:
+        raise InvalidObject(
+            f"conjugator {list(conjugator)} does not carry {list(source)} to {list(target)}"
+        )
+    return rings.ConjugacyCertificate(source, target, conjugator, verified=True)
 
 
 def report_to_obj(report: conjecture.ConjectureReport) -> dict:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import classify, heaps, rings, words
+from . import classify, heaps, words
 
 Word = tuple[int, ...]
 
@@ -51,9 +51,9 @@ def class_table(rank: int, max_rank: int = classify.ENUM_RANK_CAP) -> ClassTable
     elements = sorted(classify.enumerate_cfc(rank, max_rank=max_rank), key=lambda w: (len(w), w))
     by_conjugacy: dict[tuple[int, ...], dict[Word, list[Word]]] = {}
     for element in elements:
-        sizes = tuple(sorted((r.size for r in rings.rings_of(element, rank)), reverse=True))
-        canonical = heaps.cylindrical_canonical(element, rank).canonical_word
-        by_conjugacy.setdefault(sizes, {}).setdefault(canonical, []).append(element)
+        cylinder = heaps.cylindrical_canonical(element, rank)
+        sizes = tuple(sorted((size for _, size in cylinder.ring_profile), reverse=True))
+        by_conjugacy.setdefault(sizes, {}).setdefault(cylinder.canonical_word, []).append(element)
     groups = []
     for sizes, cyclic_map in by_conjugacy.items():
         cyclic_groups = []

@@ -17,7 +17,7 @@ from collections import deque
 from collections.abc import Iterator
 
 from . import perms
-from .errors import ClosureTooLarge, InvalidGenerator, NotReduced
+from .errors import ClosureTooLarge, InvalidGenerator, InvalidSetting, NotReduced
 
 Word = tuple[int, ...]
 
@@ -26,8 +26,13 @@ CLOSURE_CAP_ENV = "CFC_MAX_CLOSURE"
 
 
 def closure_cap() -> int:
+    """The word cap from ``CFC_MAX_CLOSURE``; it must be a positive integer."""
     raw = os.environ.get(CLOSURE_CAP_ENV)
-    return int(raw) if raw else DEFAULT_CLOSURE_CAP
+    if not raw:
+        return DEFAULT_CLOSURE_CAP
+    if not raw.isdecimal() or int(raw) < 1:
+        raise InvalidSetting(f"{CLOSURE_CAP_ENV} must be a positive integer, got {raw!r}")
+    return int(raw)
 
 
 def check_rank(rank: int) -> None:

@@ -61,3 +61,34 @@ def conjugacy_orbit(p):
             xinv[v - 1] = i + 1
         orbit.add(tuple(x[p[xinv[i] - 1] - 1] for i in range(n)))
     return frozenset(orbit)
+
+
+def diagonalize_steps_bfs(start, bits):
+    """Shortest shift sequence taking a chunk orientation to all-forward, by
+    breadth-first search over the 2^(k-1) orientations.  bits[j] is True
+    when generator start+j precedes start+j+1; shifting generator g, legal
+    when it precedes both neighbors in the chunk, makes it follow them."""
+    target = (True,) * len(bits)
+    parents = {bits: (bits, 0)}
+    queue = deque([bits])
+    while queue:
+        state = queue.popleft()
+        if state == target:
+            path = []
+            while state != bits:
+                state, letter = parents[state]
+                path.append(letter)
+            return path[::-1]
+        for j in range(len(bits) + 1):
+            if (j > 0 and state[j - 1]) or (j < len(bits) and not state[j]):
+                continue
+            new = list(state)
+            if j > 0:
+                new[j - 1] = True
+            if j < len(bits):
+                new[j] = False
+            new = tuple(new)
+            if new not in parents:
+                parents[new] = (state, start + j)
+                queue.append(new)
+    raise AssertionError("diagonal orientation unreachable")

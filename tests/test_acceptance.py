@@ -31,7 +31,7 @@ def test_criterion_1_catalan_counts():
 def test_criterion_2_cfc_rank_three_verbatim():
     with criterion(2, "the 13 CFC elements of rank 3", 1):
         listed = ["e", "1", "2", "3", "13", "12", "21", "23", "32", "123", "321", "132", "231"]
-        lifted = {words.canonical_word(serialize.parse_word_text(s), 3) for s in listed}
+        lifted = {words.canonical_word(serialize.parse_word_text(s, 3), 3) for s in listed}
         assert len(lifted) == 13
         assert classify.enumerate_cfc(3) == lifted
 

@@ -120,3 +120,21 @@ def test_text_format(capsys):
     )
     assert code == 0
     assert "FC=True" in out and "CFC=False" in out
+
+
+def test_bad_closure_cap_is_a_domain_error(capsys, monkeypatch):
+    for raw in ("abc", "0", "-3"):
+        monkeypatch.setenv("CFC_MAX_CLOSURE", raw)
+        code, out, err = invoke(capsys, "classtable", "--rank", "2")
+        assert code == 1
+        assert json.loads(out)["code"] == "invalid_setting"
+        assert "CFC_MAX_CLOSURE" in err
+
+
+def test_word_above_rank_nine_is_comma_separated(capsys):
+    code, out, _ = invoke(capsys, "classify", "--rank", "12", "--word", "12")
+    assert code == 0
+    assert json.loads(out)["word"] == [12]
+    code, out, _ = invoke(capsys, "conj", "--rank", "12", "--w", "12", "--y", "1")
+    assert code == 0
+    assert json.loads(out)["conjugate"] is True

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from cfckit import classify, heaps, perms, words
-from cfckit.errors import NotCFC, NotMaximalBlock, NotReduced
+from cfckit.errors import ClosureTooLarge, NotCFC, NotMaximalBlock, NotReduced
 
 
 def test_build_heap_fig_structure():
@@ -147,6 +147,27 @@ def test_cylindrical_canonical_examples():
     assert a.canonical_word == b.canonical_word
     assert a.canonical_word != c.canonical_word
     assert a.ring_profile == ((1, 3),)
+
+
+def test_cylindrical_canonical_matches_orbit_walk():
+    orbit_min = {}  # word -> least word of its orbit, filled one orbit at a time
+    for rank in range(1, 8):
+        orbit_min.clear()
+        for w in classify.enumerate_cfc(rank):
+            if w not in orbit_min:
+                orbit = heaps.cyclic_orbit(w, rank)
+                orbit_min.update(dict.fromkeys(orbit, min(orbit)))
+            least = orbit_min[w]
+            profile = tuple((c.start, c.size) for c in heaps.chunks(heaps.build_heap(least, rank)))
+            assert heaps.cylindrical_canonical(w, rank) == heaps.CylindricalHeap(least, profile)
+
+
+def test_cyclic_orbit_respects_closure_cap(monkeypatch):
+    monkeypatch.setenv("CFC_MAX_CLOSURE", "120")
+    assert len(heaps.cyclic_orbit((1, 2, 3, 4, 5), 5)) == 120
+    monkeypatch.setenv("CFC_MAX_CLOSURE", "119")
+    with pytest.raises(ClosureTooLarge):
+        heaps.cyclic_orbit((1, 2, 3, 4, 5), 5)
 
 
 def test_cylindrical_canonical_requires_cfc():

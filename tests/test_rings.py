@@ -1,11 +1,14 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfckit import classify, perms, rings
+from cfckit import classify, heaps, perms, rings
 from cfckit.errors import ChunkAtBoundary, NotCFC, OutOfRange, PatternMismatch
 from cfckit.rings import Ring
 
-from oracles import conjugacy_orbit
+from oracles import conjugacy_orbit, diagonalize_steps_bfs
 
 
 def test_rings_of_examples():
@@ -13,6 +16,21 @@ def test_rings_of_examples():
     assert rings.rings_of((1, 2, 4, 5, 6, 7), 9) == (Ring(1, 2), Ring(4, 4))
     assert rings.rings_of((1,), 2) == (Ring(1, 1),)
     assert rings.rings_of((), 2) == ()
+
+
+def test_rings_of_matches_heap_chunks():
+    for rank in range(1, 8):
+        for w in classify.enumerate_cfc(rank):
+            literal = tuple(
+                Ring(c.start, len(c.block_ids)) for c in heaps.chunks(heaps.build_heap(w, rank))
+            )
+            assert rings.rings_of(w, rank) == literal, (rank, w)
+
+
+def test_greedy_diagonalisation_matches_bfs():
+    for k in range(1, 10):
+        for bits in itertools.product((True, False), repeat=k - 1):
+            assert rings._diagonalize_steps(2, bits) == diagonalize_steps_bfs(2, bits), bits
 
 
 def test_rings_of_requires_cfc():
@@ -160,6 +178,13 @@ def test_decision_matches_cycle_type_and_brute_force():
                 decided = rings.is_conjugate_cfc(w, y, rank)
                 assert decided == perms.same_cycle_type(images[w], images[y])
                 assert decided == (images[y] in orbits[w])
+
+
+def test_witness_at_rank_200():
+    order = list(range(1, 201))
+    random.Random(0).shuffle(order)
+    cert = rings.conjugacy_witness(tuple(order), tuple(range(1, 201)), 200)
+    assert cert is not None and cert.verified
 
 
 def test_witness_soundness_small_ranks():

@@ -3,21 +3,31 @@ import json
 import pytest
 
 from cfckit import conjecture, heaps, rings, serialize, tables
-from cfckit.errors import InvalidGenerator
+from cfckit.errors import InvalidGenerator, InvalidObject
 
 
 def test_parse_word_text_forms():
-    assert serialize.parse_word_text("12342") == (1, 2, 3, 4, 2)
-    assert serialize.parse_word_text("1,2,11") == (1, 2, 11)
-    assert serialize.parse_word_text("e") == ()
-    assert serialize.parse_word_text("") == ()
+    assert serialize.parse_word_text("12342", 4) == (1, 2, 3, 4, 2)
+    assert serialize.parse_word_text("1,2,11", 11) == (1, 2, 11)
+    assert serialize.parse_word_text("e", 3) == ()
+    assert serialize.parse_word_text("", 3) == ()
     with pytest.raises(InvalidGenerator):
-        serialize.parse_word_text("1a2")
+        serialize.parse_word_text("1a2", 3)
 
 
 def test_word_text_round_trip():
     for word in [(), (1,), (1, 2, 3, 4, 2), (10, 2, 11)]:
-        assert serialize.parse_word_text(serialize.format_word_text(word)) == word
+        rank = max(word, default=1)
+        assert serialize.parse_word_text(serialize.format_word_text(word, rank), rank) == word
+
+
+def test_word_text_is_rank_aware():
+    assert serialize.parse_word_text("12", 9) == (1, 2)
+    assert serialize.parse_word_text("12", 12) == (12,)
+    assert serialize.format_word_text((1, 2), 12) == "1,2"
+    for rank in (1, 2, 9, 10, 12, 30):
+        for word in [(), (rank,), (1, rank), tuple(range(rank, 0, -1))]:
+            assert serialize.parse_word_text(serialize.format_word_text(word, rank), rank) == word
 
 
 def test_word_obj_round_trip():
@@ -63,6 +73,29 @@ def test_certificate_round_trip():
     obj = json.loads(json.dumps(serialize.certificate_to_obj(cert)))
     assert serialize.certificate_from_obj(obj) == cert
     assert obj["verified"] is True
+
+
+def test_certificate_loader_rechecks_conjugation():
+    obj = {"source": [1], "target": [2], "conjugator": [], "verified": True}
+    with pytest.raises(InvalidObject) as info:
+        serialize.certificate_from_obj(obj)
+    assert serialize.error_to_obj(info.value)["code"] == "invalid_object"
+    # the largest letter fixes the degree: 1 -> 2 under conjugation by 1,2
+    obj["conjugator"] = [1, 2]
+    assert serialize.certificate_from_obj(obj).verified
+
+
+def test_heap_loader_rejects_mismatched_levels_and_covers():
+    obj = serialize.heap_to_obj(heaps.build_heap((2, 1, 3, 2, 4, 5), 5))
+    moved = json.loads(json.dumps(obj))
+    moved["blocks"][0]["level"] = 7
+    with pytest.raises(InvalidObject):
+        serialize.heap_from_obj(moved)
+    uncovered = json.loads(json.dumps(obj))
+    uncovered["covers"].pop()
+    with pytest.raises(InvalidObject) as info:
+        serialize.heap_from_obj(uncovered)
+    assert serialize.error_to_obj(info.value)["code"] == "invalid_object"
 
 
 def test_report_round_trip():
