@@ -64,7 +64,6 @@ from .words import (
     cyclic_shift,
     is_reduced,
     m_value,
-    reduce_word,
     reduced_expressions,
     support,
 )

@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import perms, words
-from .errors import ClosureTooLarge, NotCFC, NotReduced, RankTooLarge
+from .errors import ClosureTooLarge, NotCFC, RankTooLarge
 
 Word = tuple[int, ...]
 
@@ -52,11 +52,15 @@ def _braid_factor(word: Word) -> int | None:
     return None
 
 
-def _require_reduced(word, rank: int) -> Word:
-    word = words.check_word(word, rank)
-    if not words.is_reduced(word, rank):
-        raise NotReduced(f"{list(word)} is not reduced")
-    return word
+def _capped_walk(word, rank: int, operation: str):
+    """The reduced expressions of a word, stopped past ``words.closure_cap()``."""
+    cap = words.closure_cap()
+    for count, u in enumerate(words.iter_reduced_expressions(word, rank), 1):
+        if count > cap:
+            raise ClosureTooLarge(
+                f"{operation}: visited {count} reduced words, past the cap of {cap}"
+            )
+        yield u
 
 
 def is_fc(word, rank: int, method: str = "pattern_321") -> FcVerdict:
@@ -68,7 +72,7 @@ def is_fc(word, rank: int, method: str = "pattern_321") -> FcVerdict:
     >>> is_fc((3, 2, 1, 3), 3).is_fc
     False
     """
-    word = _require_reduced(word, rank)
+    word = words.require_reduced(word, rank)
     if method == "pattern_321":
         hit = perms.find_321(perms.to_permutation(word, rank))
         if hit is None:
@@ -76,12 +80,7 @@ def is_fc(word, rank: int, method: str = "pattern_321") -> FcVerdict:
         return FcVerdict(False, method, {"kind": "321", "positions": list(hit)})
     if method == "stembridge_scan":
         # walk the Matsumoto closure, stopping at the first braid factor
-        cap = words.closure_cap()
-        count = 0
-        for u in words.iter_reduced_expressions(word, rank):
-            count += 1
-            if count > cap:
-                raise ClosureTooLarge(f"closure exceeds {cap} words")
+        for u in _capped_walk(word, rank, "is_fc(stembridge_scan)"):
             i = _braid_factor(u)
             if i is not None:
                 return FcVerdict(False, method, {"kind": "braid", "word": list(u), "position": i})
@@ -102,20 +101,29 @@ def is_fc(word, rank: int, method: str = "pattern_321") -> FcVerdict:
 def is_cyclically_reduced(word, rank: int) -> bool:
     """
     True iff every cyclic shift of every reduced expression is reduced.
+    Stops with ClosureTooLarge past ``words.closure_cap()`` expressions.
 
     >>> is_cyclically_reduced((3, 1, 2, 4, 5), 5)
     True
     >>> is_cyclically_reduced((3, 4, 2, 1, 3, 2), 4)
     False
     """
-    word = _require_reduced(word, rank)
-    for u in words.iter_reduced_expressions(word, rank):
+    for u in _capped_walk(word, rank, "is_cyclically_reduced"):
         v = u
         for _ in range(len(u)):
             v = words.cyclic_shift(v)
             if not words.is_reduced(v, rank):
                 return False
     return True
+
+
+def cfc_pattern(p) -> dict | None:
+    """The first 321 or 3412 occurrence in p as a witness; None iff p is CFC."""
+    for kind, find in (("321", perms.find_321), ("3412", perms.find_3412)):
+        hit = find(p)
+        if hit is not None:
+            return {"kind": kind, "positions": list(hit)}
+    return None
 
 
 def is_cfc(word, rank: int, method: str = "pattern_321_3412") -> CfcVerdict:
@@ -127,16 +135,10 @@ def is_cfc(word, rank: int, method: str = "pattern_321_3412") -> CfcVerdict:
     >>> is_cfc((2, 1, 3, 2, 4), 4).is_cfc
     False
     """
-    word = _require_reduced(word, rank)
+    word = words.require_reduced(word, rank)
     if method == "pattern_321_3412":
-        p = perms.to_permutation(word, rank)
-        hit = perms.find_321(p)
-        if hit is not None:
-            return CfcVerdict(False, method, {"kind": "321", "positions": list(hit)})
-        hit = perms.find_3412(p)
-        if hit is not None:
-            return CfcVerdict(False, method, {"kind": "3412", "positions": list(hit)})
-        return CfcVerdict(True, method)
+        witness = cfc_pattern(perms.to_permutation(word, rank))
+        return CfcVerdict(witness is None, method, witness)
     if method == "support_once":
         first = {}
         for pos, g in enumerate(word):
@@ -147,7 +149,7 @@ def is_cfc(word, rank: int, method: str = "pattern_321_3412") -> CfcVerdict:
             first[g] = pos
         return CfcVerdict(True, method)
     if method == "definition":
-        for u in words.iter_reduced_expressions(word, rank):
+        for u in _capped_walk(word, rank, "is_cfc(definition)"):
             v = u
             for k in range(1, len(u) + 1):
                 v = words.cyclic_shift(v)
@@ -199,7 +201,7 @@ def _runs(sup: tuple[int, ...]) -> list[tuple[int, int]]:
 
 def require_cfc(word, rank: int) -> Word:
     """Validate a CFC word once, at an API boundary, by the default route."""
-    word = words.check_word(word, rank)
+    word = tuple(word)
     verdict = is_cfc(word, rank)
     if not verdict.is_cfc:
         raise NotCFC(f"{list(word)} is not CFC: {verdict.witness}")

@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import classify, conjecture, heaps, rings, serialize, tables
-from .errors import CfcError
+from .errors import CfcError, WriteFailed
 
 
 def _add_rank(parser, required=True):
@@ -136,8 +136,11 @@ def _dispatch(args) -> tuple[dict | str, str | None]:
         heap = heaps.build_heap(word, args.rank)
         drawing = heaps.render(heap, args.render_format)
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(drawing)
+            try:
+                with open(args.out, "w", encoding="utf-8") as handle:
+                    handle.write(drawing)
+            except OSError as exc:
+                raise WriteFailed(f"cannot write {args.out}: {exc.strerror}") from None
             return {"written": args.out}, f"wrote {args.out}\n"
         return drawing, drawing
 

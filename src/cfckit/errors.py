@@ -81,6 +81,12 @@ class InvalidObject(CfcError):
     code = "invalid_object"
 
 
+class WriteFailed(CfcError):
+    """An output file could not be written."""
+
+    code = "write_failed"
+
+
 class VerificationFailed(CfcError):
     """A synthesized certificate failed its check; this is a bug, never data."""
 

@@ -25,7 +25,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from . import classify, words
-from .errors import ClosureTooLarge, NotMaximalBlock, NotReduced
+from .errors import ClosureTooLarge, NotMaximalBlock
 
 Word = tuple[int, ...]
 
@@ -68,36 +68,36 @@ class Heap:
         return cols
 
     def maximal_blocks(self) -> tuple[Block, ...]:
-        out = []
+        """The column tops that sit above both neighbouring column tops."""
+        tops: dict[int, Block] = {}
         for b in self.blocks:
-            if not any(
-                other.level > b.level and abs(other.gen - b.gen) <= 1 for other in self.blocks
-            ):
-                out.append(b)
-        return tuple(sorted(out, key=lambda b: b.gen))
+            if b.gen not in tops or b.level > tops[b.gen].level:
+                tops[b.gen] = b
+        return tuple(
+            b
+            for g, b in sorted(tops.items())
+            if all(b.level > tops[c].level for c in (g - 1, g + 1) if c in tops)
+        )
 
 
 def _assemble(word: Word, rank: int) -> Heap:
-    """Build the stacked-block heap of any word, reduced or not."""
-    word = words.check_word(word, rank)
+    """Build the stacked-block heap of a checked word, reduced or not.
+
+    A new block in column g covers the top of column g-1 or g+1 exactly when
+    column g is empty or its top is lower; otherwise that top sits between.
+    """
     levels = [0] * len(word)
-    col_top: dict[int, int] = {}
+    top: dict[int, int] = {}  # column -> level of its highest block so far
+    top_pos: dict[int, int] = {}
+    covers = set()
     for pos in range(len(word) - 1, -1, -1):
         g = word[pos]
-        lvl = 1 + max(col_top.get(c, 0) for c in (g - 1, g, g + 1))
-        levels[pos] = lvl
-        col_top[g] = max(col_top.get(g, 0), lvl)
+        levels[pos] = 1 + max(top.get(c, 0) for c in (g - 1, g, g + 1))
+        for c in (g - 1, g + 1):
+            if c in top and top[c] > top.get(g, 0):
+                covers.add((pos, top_pos[c]))
+        top[g], top_pos[g] = levels[pos], pos
     blocks = tuple(Block(i, word[i], levels[i]) for i in range(len(word)))
-    covers = set()
-    for a in blocks:
-        for b in blocks:
-            if abs(a.gen - b.gen) != 1 or a.level <= b.level:
-                continue
-            blocked = any(
-                c.gen in (a.gen, b.gen) and b.level < c.level < a.level for c in blocks
-            )
-            if not blocked:
-                covers.add((a.index, b.index))
     return Heap(rank, blocks, frozenset(covers))
 
 
@@ -109,10 +109,7 @@ def build_heap(word, rank: int) -> Heap:
     >>> [(b.gen, b.level) for b in h.blocks], sorted(h.covers)
     ([(1, 1), (3, 1)], [])
     """
-    word = words.check_word(word, rank)
-    if not words.is_reduced(word, rank):
-        raise NotReduced(f"{list(word)} is not reduced")
-    return _assemble(word, rank)
+    return _assemble(words.require_reduced(word, rank), rank)
 
 
 def heap_to_word(heap: Heap) -> Word:

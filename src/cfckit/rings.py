@@ -278,8 +278,8 @@ def conjugacy_witness(w, y, rank: int) -> ConjugacyCertificate | None:
             f"conjugator {list(conjugator)} does not carry {list(w)} to {list(y)}"
         )
     return ConjugacyCertificate(
-        source=words.canonical_word(w, rank),
-        target=words.canonical_word(y, rank),
+        source=perms.word_from_permutation(p_w),
+        target=perms.word_from_permutation(p_y),
         conjugator=conjugator,
         verified=True,
     )

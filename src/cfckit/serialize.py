@@ -4,13 +4,16 @@ Words serialize as integer arrays with the rank carried alongside; the text
 notation is a digit string for ranks up to 9 and comma-separated above, so
 generator 12 at rank 12 reads as itself.  Cycles print as ``(1 2 4 5)`` and
 are normalized smallest-first on parse.  Loaders check heaps and
-certificates again rather than trusting them.
+certificates again rather than trusting them, and report any missing key,
+wrong type, non-permutation or letter outside the rank as InvalidObject.
 """
 
 from __future__ import annotations
 
-from . import conjecture, heaps, perms, rings, tables
-from .errors import InvalidGenerator, InvalidObject
+import functools
+
+from . import conjecture, heaps, perms, rings, tables, words
+from .errors import CfcError, InvalidGenerator, InvalidObject
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
@@ -50,20 +53,59 @@ def format_word_text(word: Word, rank: int) -> str:
     return ",".join(str(g) for g in word)
 
 
+def _loader(load):
+    """Report a malformed object as InvalidObject, whichever part fails."""
+
+    @functools.wraps(load)
+    def checked(obj):
+        try:
+            return load(obj)
+        except InvalidObject:
+            raise
+        except (CfcError, KeyError, TypeError, ValueError) as exc:
+            raise InvalidObject(f"{load.__name__}: malformed object ({exc!r})") from None
+
+    return checked
+
+
+def _typed(value, kind):
+    if type(value) is not kind:
+        raise TypeError(f"expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _ints(value) -> tuple[int, ...]:
+    return tuple(_typed(v, int) for v in _typed(value, list))
+
+
+def _word(value, rank: int) -> Word:
+    return words.check_word(_ints(value), rank)
+
+
+def _perm(value) -> Perm:
+    p = _ints(value)
+    if not perms.is_one_line(p):
+        raise ValueError(f"{list(p)} is not a permutation")
+    return p
+
+
 def word_to_obj(word: Word, rank: int) -> dict:
     return {"rank": rank, "word": list(word)}
 
 
+@_loader
 def word_from_obj(obj: dict) -> tuple[Word, int]:
-    return tuple(obj["word"]), int(obj["rank"])
+    rank = _typed(obj["rank"], int)
+    return _word(obj["word"], rank), rank
 
 
 def perm_to_obj(p: Perm) -> dict:
     return {"one_line": list(p)}
 
 
+@_loader
 def perm_from_obj(obj: dict) -> Perm:
-    return tuple(obj["one_line"])
+    return _perm(obj["one_line"])
 
 
 def cycle_to_text(cycle) -> str:
@@ -95,13 +137,16 @@ def heap_to_obj(heap: heaps.Heap) -> dict:
     }
 
 
+@_loader
 def heap_from_obj(obj: dict) -> heaps.Heap:
+    rank = _typed(obj["rank"], int)
     blocks = tuple(
-        heaps.Block(i, entry["gen"], entry["level"]) for i, entry in enumerate(obj["blocks"])
+        heaps.Block(i, _typed(entry["gen"], int), _typed(entry["level"], int))
+        for i, entry in enumerate(obj["blocks"])
     )
-    covers = frozenset((a, b) for a, b in obj["covers"])
-    heap = heaps.Heap(int(obj["rank"]), blocks, covers)
-    if heaps._assemble(heap.word(), heap.rank) != heap:
+    covers = frozenset(_ints(pair) for pair in obj["covers"])
+    heap = heaps.Heap(rank, blocks, covers)
+    if heaps._assemble(words.check_word(heap.word(), rank), rank) != heap:
         raise InvalidObject("heap levels or covers do not match its block letters")
     return heap
 
@@ -123,10 +168,11 @@ def certificate_to_obj(cert: rings.ConjugacyCertificate) -> dict:
     }
 
 
+@_loader
 def certificate_from_obj(obj: dict) -> rings.ConjugacyCertificate:
     """Load a certificate after checking it again: S_{m+1} embeds in every
     larger symmetric group, so the largest letter m fixes enough degree."""
-    source, target, conjugator = (tuple(obj[key]) for key in ("source", "target", "conjugator"))
+    source, target, conjugator = (_ints(obj[key]) for key in ("source", "target", "conjugator"))
     rank = max(source + target + conjugator, default=1)
     p_source, p_target, p_x = (perms.to_permutation(w, rank) for w in (source, target, conjugator))
     if perms.conjugate(p_source, p_x) != p_target:
@@ -153,17 +199,19 @@ def report_to_obj(report: conjecture.ConjectureReport) -> dict:
     }
 
 
+@_loader
 def report_from_obj(obj: dict) -> conjecture.ConjectureReport:
+    rank = _typed(obj["rank"], int)
     return conjecture.ConjectureReport(
-        rank=int(obj["rank"]),
-        elements_checked=int(obj["elements_checked"]),
-        agree=bool(obj["agree"]),
+        rank=rank,
+        elements_checked=_typed(obj["elements_checked"], int),
+        agree=_typed(obj["agree"], bool),
         counterexamples=tuple(
             (
-                tuple(entry["word"]),
-                tuple(entry["one_line"]),
-                bool(entry["predicate_verdict"]),
-                bool(entry["cfc_verdict"]),
+                _word(entry["word"], rank),
+                _perm(entry["one_line"]),
+                _typed(entry["predicate_verdict"], bool),
+                _typed(entry["cfc_verdict"], bool),
             )
             for entry in obj["counterexamples"]
         ),
@@ -191,20 +239,22 @@ def class_table_to_obj(table: tables.ClassTable) -> dict:
     }
 
 
+@_loader
 def class_table_from_obj(obj: dict) -> tables.ClassTable:
+    rank = _typed(obj["rank"], int)
     groups = []
     for group in obj["conjugacy_classes"]:
         cyclic = tuple(
             tables.CyclicClassGroup(
-                canonical_word=tuple(cyc["canonical_word"]),
+                canonical_word=_word(cyc["canonical_word"], rank),
                 commutation_classes=tuple(
-                    tuple(tuple(w) for w in cls) for cls in cyc["commutation_classes"]
+                    tuple(_word(w, rank) for w in cls) for cls in cyc["commutation_classes"]
                 ),
             )
             for cyc in group["cyclic_classes"]
         )
-        groups.append(tables.ConjugacyClassGroup(tuple(group["ring_size_multiset"]), cyclic))
-    return tables.ClassTable(int(obj["rank"]), tuple(groups))
+        groups.append(tables.ConjugacyClassGroup(_ints(group["ring_size_multiset"]), cyclic))
+    return tables.ClassTable(rank, tuple(groups))
 
 
 def error_to_obj(exc) -> dict:

@@ -5,6 +5,10 @@ Generators i and j satisfy m = 1 (equal), m = 2 (|i-j| > 1, they commute)
 or m = 3 (|i-j| = 1, braid relation iji = jij).  Length questions are
 answered in the symmetric group of degree rank+1 via :mod:`cfckit.perms`.
 
+:func:`require_reduced` is the one boundary check for a reduced word: public
+functions that need one call it on entry, and the functions they call take
+the checked word on trust.
+
 Rewriting closures (all reduced expressions of an element) are exponential
 in the worst case; they are guarded by a word cap, configurable through the
 ``CFC_MAX_CLOSURE`` environment variable (default 10**6).
@@ -96,8 +100,16 @@ def is_reduced(word, rank: int) -> bool:
     >>> is_reduced((), 3)
     True
     """
-    word = check_word(word, rank)
+    word = tuple(word)
     return len(word) == perms.inversions(perms.to_permutation(word, rank))
+
+
+def require_reduced(word, rank: int) -> Word:
+    """The one boundary check: letters in 1..rank and the word reduced."""
+    word = tuple(word)
+    if not is_reduced(word, rank):
+        raise NotReduced(f"{list(word)} is not reduced")
+    return word
 
 
 def canonical_word(word, rank: int) -> Word:
@@ -108,22 +120,7 @@ def canonical_word(word, rank: int) -> Word:
     >>> canonical_word((3, 1, 2, 3, 4), 4)
     (1, 2, 3, 2, 4)
     """
-    word = check_word(word, rank)
     return perms.word_from_permutation(perms.to_permutation(word, rank))
-
-
-def reduce_word(word, rank: int) -> Word:
-    """
-    Some reduced expression with the same image, obtained by the descent
-    algorithm on the image permutation.  The result happens to be the
-    canonical (lex-least) one.
-
-    >>> reduce_word((1, 1), 2)
-    ()
-    >>> reduce_word((1, 2, 1, 2), 3)
-    (2, 1)
-    """
-    return canonical_word(word, rank)
 
 
 def commutation_moves(word: Word) -> Iterator[Word]:
@@ -147,9 +144,7 @@ def iter_reduced_expressions(word, rank: int) -> Iterator[Word]:
     Lazily walk the closure of a reduced word under single commutation and
     braid moves, in breadth-first order starting from the word itself.
     """
-    word = check_word(word, rank)
-    if not is_reduced(word, rank):
-        raise NotReduced(f"{list(word)} is not reduced")
+    word = require_reduced(word, rank)
     seen = {word}
     queue = deque([word])
     while queue:
@@ -190,9 +185,7 @@ def commutation_class(word, rank: int, max_size: int | None = None) -> frozenset
     >>> sorted(commutation_class((2, 1, 3, 2), 3))
     [(2, 1, 3, 2), (2, 3, 1, 2)]
     """
-    word = check_word(word, rank)
-    if not is_reduced(word, rank):
-        raise NotReduced(f"{list(word)} is not reduced")
+    word = require_reduced(word, rank)
     cap = closure_cap() if max_size is None else max_size
     seen = {word}
     queue = deque([word])

@@ -92,3 +92,25 @@ def diagonalize_steps_bfs(start, bits):
                 parents[new] = (state, start + j)
                 queue.append(new)
     raise AssertionError("diagonal orientation unreachable")
+
+
+def heap_covers_by_scan(blocks):
+    """Cover pairs (upper, lower) of stacked blocks, from the definition:
+    adjacent columns, upper strictly higher, and neither column holding a
+    block strictly between.  Blocks carry ``index``, ``gen`` and ``level``."""
+    return frozenset(
+        (a.index, b.index)
+        for a in blocks
+        for b in blocks
+        if abs(a.gen - b.gen) == 1
+        and a.level > b.level
+        and not any(c.gen in (a.gen, b.gen) and b.level < c.level < a.level for c in blocks)
+    )
+
+
+def maximal_blocks_by_scan(blocks):
+    """Blocks with no higher block in their own or an adjacent column."""
+    tops = [
+        b for b in blocks if not any(o.level > b.level and abs(o.gen - b.gen) <= 1 for o in blocks)
+    ]
+    return tuple(sorted(tops, key=lambda b: b.gen))

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from cfckit import classify, perms, words
-from cfckit.errors import NotReduced, RankTooLarge
+from cfckit.errors import ClosureTooLarge, NotReduced, RankTooLarge
 
 
 def all_elements(rank):
@@ -47,6 +47,19 @@ def test_is_cyclically_reduced_examples():
     assert classify.is_cyclically_reduced((3, 1, 2, 4, 5), 5)
     assert not classify.is_cyclically_reduced((3, 4, 2, 1, 3, 2), 4)
     assert classify.is_cyclically_reduced((), 2)
+
+
+def test_reduced_expression_walks_stop_at_the_closure_cap(monkeypatch):
+    word = (1, 3, 5, 2, 4)  # cyclically reduced, with 16 reduced expressions
+    assert len(words.reduced_expressions(word, 5)) == 16
+    monkeypatch.setenv(words.CLOSURE_CAP_ENV, "16")
+    assert classify.is_cyclically_reduced(word, 5)
+    assert classify.is_cfc(word, 5, method="definition").is_cfc
+    monkeypatch.setenv(words.CLOSURE_CAP_ENV, "5")
+    with pytest.raises(ClosureTooLarge, match="is_cyclically_reduced: visited 6 "):
+        classify.is_cyclically_reduced(word, 5)
+    with pytest.raises(ClosureTooLarge, match="visited 6 reduced words"):
+        classify.is_cfc(word, 5, method="definition")
 
 
 @pytest.mark.parametrize("method", classify.CFC_METHODS)

@@ -80,6 +80,15 @@ def test_render_svg_to_file(tmp_path, capsys):
     assert target.read_text().startswith("<svg ")
 
 
+def test_render_to_unwritable_path_is_a_domain_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.svg"
+    code, out, err = invoke(capsys, "render", "--rank", "3", "--word", "12", "--out", str(target))
+    assert code == 1
+    assert json.loads(out)["code"] == "write_failed"
+    assert str(target) in err
+    assert not target.exists()
+
+
 def test_classtable_smoke(capsys):
     code, out, _ = invoke(capsys, "classtable", "--rank", "4")
     assert code == 0
@@ -129,6 +138,14 @@ def test_bad_closure_cap_is_a_domain_error(capsys, monkeypatch):
         assert code == 1
         assert json.loads(out)["code"] == "invalid_setting"
         assert "CFC_MAX_CLOSURE" in err
+
+
+def test_classify_past_the_closure_cap_is_a_domain_error(capsys, monkeypatch):
+    monkeypatch.setenv("CFC_MAX_CLOSURE", "5")
+    code, out, err = invoke(capsys, "classify", "--rank", "5", "--word", "13524")
+    assert code == 1
+    assert json.loads(out)["code"] == "closure_too_large"
+    assert "is_cyclically_reduced" in err
 
 
 def test_word_above_rank_nine_is_comma_separated(capsys):

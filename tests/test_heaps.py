@@ -5,6 +5,8 @@ import pytest
 from cfckit import classify, heaps, perms, words
 from cfckit.errors import ClosureTooLarge, NotCFC, NotMaximalBlock, NotReduced
 
+from oracles import heap_covers_by_scan, maximal_blocks_by_scan
+
 
 def test_build_heap_fig_structure():
     h = heaps.build_heap((2, 1, 3, 2, 4, 5), 5)
@@ -26,6 +28,24 @@ def test_build_heap_small_cases():
 def test_build_heap_requires_reduced():
     with pytest.raises(NotReduced):
         heaps.build_heap((1, 1), 2)
+
+
+def _heap_words(rank):
+    """Every reduced expression through rank 4 and every canonical word at
+    rank 5, plus every word, reduced or not, of length up to 6."""
+    for p in itertools.permutations(range(1, rank + 2)):
+        word = perms.word_from_permutation(p)
+        yield from words.reduced_expressions(word, rank) if rank <= 4 else (word,)
+    for length in range(7):
+        yield from itertools.product(range(1, rank + 1), repeat=length)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_covers_and_maximal_blocks_match_definition(rank):
+    for word in _heap_words(rank):
+        h = heaps._assemble(word, rank)
+        assert h.covers == heap_covers_by_scan(h.blocks), word
+        assert h.maximal_blocks() == maximal_blocks_by_scan(h.blocks), word
 
 
 def test_heap_to_word_examples():

@@ -98,6 +98,71 @@ def test_heap_loader_rejects_mismatched_levels_and_covers():
     assert serialize.error_to_obj(info.value)["code"] == "invalid_object"
 
 
+HEAP = {"rank": 2, "blocks": [{"gen": 1, "level": 2}, {"gen": 2, "level": 1}], "covers": [[0, 1]]}
+REPORT = {"rank": 2, "elements_checked": 6, "agree": True, "counterexamples": []}
+TABLE = {"rank": 1, "conjugacy_classes": []}
+MALFORMED = {
+    "certificate-missing-key": (serialize.certificate_from_obj, {"source": [1]}),
+    "certificate-wrong-type": (
+        serialize.certificate_from_obj,
+        {"source": ["a"], "target": [1], "conjugator": []},
+    ),
+    "certificate-letter-below-one": (
+        serialize.certificate_from_obj,
+        {"source": [0], "target": [0], "conjugator": []},
+    ),
+    "heap-missing-covers": (serialize.heap_from_obj, {"rank": 2, "blocks": []}),
+    "heap-rank-not-integer": (serialize.heap_from_obj, {**HEAP, "rank": "x"}),
+    "heap-letter-outside-rank": (
+        serialize.heap_from_obj,
+        {"rank": 1, "blocks": [{"gen": 3, "level": 1}], "covers": []},
+    ),
+    "perm-not-a-permutation": (serialize.perm_from_obj, {"one_line": [1, 1]}),
+    "perm-wrong-type": (serialize.perm_from_obj, {"one_line": "21"}),
+    "word-letter-outside-rank": (serialize.word_from_obj, {"rank": 2, "word": [7]}),
+    "word-missing-rank": (serialize.word_from_obj, {"word": [1]}),
+    "report-wrong-type": (serialize.report_from_obj, {**REPORT, "agree": "yes"}),
+    "report-bad-counterexample": (
+        serialize.report_from_obj,
+        {
+            **REPORT,
+            "counterexamples": [
+                {"word": [1], "one_line": [1, 1, 3], "predicate_verdict": True, "cfc_verdict": False}
+            ],
+        },
+    ),
+    "table-missing-key": (serialize.class_table_from_obj, {"rank": 1}),
+    "table-letter-outside-rank": (
+        serialize.class_table_from_obj,
+        {
+            **TABLE,
+            "conjugacy_classes": [
+                {
+                    "ring_size_multiset": [1],
+                    "cyclic_classes": [{"canonical_word": [2], "commutation_classes": [[[2]]]}],
+                }
+            ],
+        },
+    ),
+    "not-an-object": (serialize.word_from_obj, [1, 2]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_loaders_reject_malformed_objects(case):
+    load, obj = MALFORMED[case]
+    with pytest.raises(InvalidObject) as info:
+        load(obj)
+    assert serialize.error_to_obj(info.value)["code"] == "invalid_object"
+    assert load.__name__ in str(info.value)
+
+
+def test_loader_fixtures_are_well_formed():
+    assert serialize.heap_from_obj(HEAP) == heaps.build_heap((1, 2), 2)
+    assert serialize.report_from_obj(REPORT) == conjecture.check_conjecture(2)
+    assert serialize.class_table_from_obj(TABLE) == tables.ClassTable(1, ())
+
+
 def test_report_round_trip():
     report = conjecture.check_conjecture(3)
     obj = json.loads(json.dumps(serialize.report_to_obj(report)))

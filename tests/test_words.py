@@ -54,21 +54,21 @@ def test_length_oracle_agrees_with_cayley_bfs(rank):
 
 
 def test_reduce_word_examples():
-    got = words.reduce_word((1, 2, 4, 5, 2, 6, 5), 6)
+    got = words.canonical_word((1, 2, 4, 5, 2, 6, 5), 6)
     assert len(got) == 5
     assert perms.to_permutation(got, 6) == perms.to_permutation((1, 4, 5, 6, 5), 6)
-    assert words.reduce_word((1, 1), 2) == ()
-    got = words.reduce_word((1, 2, 1, 2), 3)
+    assert words.canonical_word((1, 1), 2) == ()
+    got = words.canonical_word((1, 2, 1, 2), 3)
     assert len(got) == 2
     assert perms.to_permutation(got, 3) == perms.to_permutation((2, 1), 3)
 
 
 def test_reduce_preserves_image_and_is_idempotent_on_reduced_words():
     for word in [(2, 1, 2, 1), (3, 3), (1, 2, 3, 1, 2, 1), (2, 3, 2, 3)]:
-        got = words.reduce_word(word, 3)
+        got = words.canonical_word(word, 3)
         assert words.is_reduced(got, 3)
         assert perms.to_permutation(got, 3) == perms.to_permutation(word, 3)
-        again = words.reduce_word(got, 3)
+        again = words.canonical_word(got, 3)
         assert len(again) == len(got)
         assert perms.to_permutation(again, 3) == perms.to_permutation(got, 3)
 
