@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass
 
 from . import perms, words
-from .errors import ClosureTooLarge, NotCFC, RankTooLarge
+from .errors import NotCFC, RankTooLarge
 
 Word = tuple[int, ...]
 
@@ -52,15 +52,14 @@ def _braid_factor(word: Word) -> int | None:
     return None
 
 
-def _capped_walk(word, rank: int, operation: str):
-    """The reduced expressions of a word, stopped past ``words.closure_cap()``."""
-    cap = words.closure_cap()
-    for count, u in enumerate(words.iter_reduced_expressions(word, rank), 1):
-        if count > cap:
-            raise ClosureTooLarge(
-                f"{operation}: visited {count} reduced words, past the cap of {cap}"
-            )
-        yield u
+def _braid_scan(word: Word, operation: str) -> tuple[Word, int] | None:
+    """The first reduced expression of a checked word, in walk order, that
+    holds a braid factor, with the factor's index; None if there is none."""
+    for u in words.closure(word, words.expression_moves, operation):
+        i = _braid_factor(u)
+        if i is not None:
+            return u, i
+    return None
 
 
 def is_fc(word, rank: int, method: str = "pattern_321") -> FcVerdict:
@@ -80,15 +79,17 @@ def is_fc(word, rank: int, method: str = "pattern_321") -> FcVerdict:
         return FcVerdict(False, method, {"kind": "321", "positions": list(hit)})
     if method == "stembridge_scan":
         # walk the Matsumoto closure, stopping at the first braid factor
-        for u in _capped_walk(word, rank, "is_fc(stembridge_scan)"):
-            i = _braid_factor(u)
-            if i is not None:
-                return FcVerdict(False, method, {"kind": "braid", "word": list(u), "position": i})
-        return FcVerdict(True, method)
+        hit = _braid_scan(word, "is_fc(stembridge_scan)")
+        if hit is None:
+            return FcVerdict(True, method)
+        u, i = hit
+        return FcVerdict(False, method, {"kind": "braid", "word": list(u), "position": i})
     if method == "single_commutation_class":
         # a braid move changes the letter multiset, so any applicable braid
         # move exits the commutation class and forces a second class
-        for u in sorted(words.commutation_class(word, rank)):
+        for u in sorted(
+            words.closure(word, words.commutation_moves, "is_fc(single_commutation_class)")
+        ):
             i = _braid_factor(u)
             if i is not None:
                 b = u[i + 1]
@@ -108,7 +109,7 @@ def is_cyclically_reduced(word, rank: int) -> bool:
     >>> is_cyclically_reduced((3, 4, 2, 1, 3, 2), 4)
     False
     """
-    for u in _capped_walk(word, rank, "is_cyclically_reduced"):
+    for u in words.iter_reduced_expressions(word, rank, "is_cyclically_reduced"):
         v = u
         for _ in range(len(u)):
             v = words.cyclic_shift(v)
@@ -149,14 +150,13 @@ def is_cfc(word, rank: int, method: str = "pattern_321_3412") -> CfcVerdict:
             first[g] = pos
         return CfcVerdict(True, method)
     if method == "definition":
-        for u in _capped_walk(word, rank, "is_cfc(definition)"):
+        operation = "is_cfc(definition)"
+        for u in words.closure(word, words.expression_moves, operation):
             v = u
             for k in range(1, len(u) + 1):
                 v = words.cyclic_shift(v)
-                failing = {"kind": "shift", "expression": list(u), "shifts": k, "word": list(v)}
-                if not words.is_reduced(v, rank):
-                    return CfcVerdict(False, method, failing)
-                if not is_fc(v, rank, method="stembridge_scan").is_fc:
+                if not words.is_reduced(v, rank) or _braid_scan(v, operation) is not None:
+                    failing = {"kind": "shift", "expression": list(u), "shifts": k, "word": list(v)}
                     return CfcVerdict(False, method, failing)
         return CfcVerdict(True, method)
     raise ValueError(f"unknown CFC method {method!r}")

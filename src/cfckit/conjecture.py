@@ -16,8 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from . import classify, perms, words
-from .errors import RankTooLarge
+from . import classify, perms
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
@@ -99,9 +98,7 @@ def check_conjecture(rank: int, max_rank: int = CONJECTURE_RANK_CAP) -> Conjectu
     >>> check_conjecture(2).agree
     True
     """
-    words.check_rank(rank)
-    if rank > max_rank:
-        raise RankTooLarge(f"rank {rank} exceeds cap {max_rank}")
+    classify._check_enum_rank(rank, max_rank)
     counterexamples = []
     checked = 0
     for p in itertools.permutations(range(1, rank + 2)):

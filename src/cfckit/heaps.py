@@ -21,11 +21,10 @@ class literally and stays as the reference.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from . import classify, words
-from .errors import ClosureTooLarge, NotMaximalBlock
+from .errors import NotMaximalBlock
 
 Word = tuple[int, ...]
 
@@ -245,18 +244,8 @@ def cyclic_orbit(word, rank: int) -> frozenset[Word]:
     The walk stops with ClosureTooLarge past ``words.closure_cap()`` words.
     """
     word = classify.require_cfc(word, rank)
-    cap = words.closure_cap()
-    seen = {word}
-    queue = deque([word])
-    while queue:
-        u = queue.popleft()
-        for v in (*words.commutation_moves(u), words.cyclic_shift(u)):
-            if v not in seen:
-                if len(seen) >= cap:
-                    raise ClosureTooLarge(f"cyclic orbit exceeds {cap} words")
-                seen.add(v)
-                queue.append(v)
-    return frozenset(seen)
+    moves = lambda u: (*words.commutation_moves(u), words.cyclic_shift(u))
+    return frozenset(words.closure(word, moves, "cyclic_orbit"))
 
 
 def cylindrical_canonical(word, rank: int) -> CylindricalHeap:

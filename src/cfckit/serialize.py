@@ -3,16 +3,18 @@
 Words serialize as integer arrays with the rank carried alongside; the text
 notation is a digit string for ranks up to 9 and comma-separated above, so
 generator 12 at rank 12 reads as itself.  Cycles print as ``(1 2 4 5)`` and
-are normalized smallest-first on parse.  Loaders check heaps and
-certificates again rather than trusting them, and report any missing key,
-wrong type, non-permutation or letter outside the rank as InvalidObject.
+are normalized smallest-first on parse.  Loaders check heaps, certificates,
+conjecture reports and class tables again rather than trusting them, and
+report any missing key, wrong type, non-permutation, letter outside the rank
+or contradicted content as InvalidObject.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 
-from . import conjecture, heaps, perms, rings, tables, words
+from . import classify, conjecture, heaps, perms, rings, tables, words
 from .errors import CfcError, InvalidGenerator, InvalidObject
 
 Word = tuple[int, ...]
@@ -122,11 +124,13 @@ def cycle_from_text(text: str) -> tuple[int, ...]:
     (1, 2, 4, 5)
     """
     body = text.strip().lstrip("(").rstrip(")")
-    entries = tuple(int(part) for part in body.replace(",", " ").split())
-    if not entries:
-        return ()
-    i = entries.index(min(entries))
-    return entries[i:] + entries[:i]
+    try:
+        entries = tuple(int(part) for part in body.replace(",", " ").split())
+    except ValueError:
+        raise InvalidObject(f"cannot parse cycle {text!r}") from None
+    if len(set(entries)) < len(entries) or any(v < 1 for v in entries):
+        raise InvalidObject(f"cycle {text!r} must list distinct positive entries")
+    return conjecture._min_first(entries) if entries else ()
 
 
 def heap_to_obj(heap: heaps.Heap) -> dict:
@@ -201,8 +205,10 @@ def report_to_obj(report: conjecture.ConjectureReport) -> dict:
 
 @_loader
 def report_from_obj(obj: dict) -> conjecture.ConjectureReport:
+    """Load a sweep report after recomputing every counterexample it lists."""
     rank = _typed(obj["rank"], int)
-    return conjecture.ConjectureReport(
+    words.check_rank(rank)
+    report = conjecture.ConjectureReport(
         rank=rank,
         elements_checked=_typed(obj["elements_checked"], int),
         agree=_typed(obj["agree"], bool),
@@ -216,6 +222,26 @@ def report_from_obj(obj: dict) -> conjecture.ConjectureReport:
             for entry in obj["counterexamples"]
         ),
     )
+    if report.elements_checked != math.factorial(rank + 1):
+        raise InvalidObject(f"a rank-{rank} sweep checks {math.factorial(rank + 1)} elements")
+    if report.agree != (not report.counterexamples):
+        raise InvalidObject("agree contradicts the counterexample list")
+    one_lines = [p for _, p, _, _ in report.counterexamples]
+    if any(a >= b for a, b in zip(one_lines, one_lines[1:])):
+        raise InvalidObject("counterexamples are not sorted by one-line without repeats")
+    for word, p, predicted, actual in report.counterexamples:
+        if len(p) != rank + 1 or perms.to_permutation(word, rank) != p:
+            raise InvalidObject(f"{list(p)} is not the rank-{rank} image of {list(word)}")
+        if perms.word_from_permutation(p) != word:
+            raise InvalidObject(f"{list(word)} is not the canonical word of {list(p)}")
+        if (predicted, actual) != (
+            conjecture.conjecture_predicate(p),
+            classify.cfc_pattern(p) is None,
+        ):
+            raise InvalidObject(f"the verdicts on {list(p)} do not match a recomputation")
+        if predicted == actual:
+            raise InvalidObject(f"{list(p)} is no counterexample: both verdicts are {predicted}")
+    return report
 
 
 def class_table_to_obj(table: tables.ClassTable) -> dict:
@@ -241,7 +267,11 @@ def class_table_to_obj(table: tables.ClassTable) -> dict:
 
 @_loader
 def class_table_from_obj(obj: dict) -> tables.ClassTable:
+    """Load a class table after checking each element it lists: a CFC word
+    whose commutation class is its leaf list, whose sorted support is the
+    canonical word above it and whose chunk sizes are the group's ring sizes."""
     rank = _typed(obj["rank"], int)
+    words.check_rank(rank)
     groups = []
     for group in obj["conjugacy_classes"]:
         cyclic = tuple(
@@ -254,7 +284,25 @@ def class_table_from_obj(obj: dict) -> tables.ClassTable:
             for cyc in group["cyclic_classes"]
         )
         groups.append(tables.ConjugacyClassGroup(_ints(group["ring_size_multiset"]), cyclic))
+    for group in groups:
+        for cyc in group.cyclic_classes:
+            for expressions in cyc.commutation_classes:
+                _check_leaf(expressions, cyc.canonical_word, group.ring_sizes, rank)
     return tables.ClassTable(rank, tuple(groups))
+
+
+def _check_leaf(expressions, canonical: Word, ring_sizes, rank: int) -> None:
+    if not expressions:
+        raise InvalidObject("a table leaf lists no expressions")
+    # every listed word is a reduced expression of the first, so all are CFC
+    first = classify.require_cfc(expressions[0], rank)
+    if expressions != tuple(sorted(words.commutation_class(first, rank))):
+        raise InvalidObject(f"{[list(w) for w in expressions]} is not a sorted commutation class")
+    if tuple(sorted(first)) != canonical:
+        raise InvalidObject(f"{list(canonical)} is not the sorted support of {list(first)}")
+    sizes = tuple(sorted((size for _, size, _ in classify.chunk_layout(first)), reverse=True))
+    if sizes != ring_sizes:
+        raise InvalidObject(f"{list(first)} has chunk sizes {list(sizes)}, not {list(ring_sizes)}")
 
 
 def error_to_obj(exc) -> dict:

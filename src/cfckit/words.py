@@ -9,9 +9,12 @@ answered in the symmetric group of degree rank+1 via :mod:`cfckit.perms`.
 functions that need one call it on entry, and the functions they call take
 the checked word on trust.
 
-Rewriting closures (all reduced expressions of an element) are exponential
-in the worst case; they are guarded by a word cap, configurable through the
-``CFC_MAX_CLOSURE`` environment variable (default 10**6).
+:func:`closure` is the one rewriting walk: every closure in the package
+(reduced expressions, commutation classes, the cyclic orbit and the
+word-level FC/CFC routes) runs through it.  Closures are exponential in the
+worst case, so it holds at most the word cap set by the ``CFC_MAX_CLOSURE``
+environment variable (default 10**6), and past it raises ClosureTooLarge
+naming the operation.
 """
 
 from __future__ import annotations
@@ -139,28 +142,47 @@ def braid_moves(word: Word) -> Iterator[Word]:
             yield word[:i] + (b, a, b) + word[i + 3 :]
 
 
-def iter_reduced_expressions(word, rank: int) -> Iterator[Word]:
+def expression_moves(word: Word) -> Iterator[Word]:
+    """Words reachable by one commutation move, then by one braid move."""
+    yield from commutation_moves(word)
+    yield from braid_moves(word)
+
+
+def closure(word: Word, moves, operation: str) -> Iterator[Word]:
     """
-    Lazily walk the closure of a reduced word under single commutation and
-    braid moves, in breadth-first order starting from the word itself.
+    Walk breadth-first from a checked word under ``moves``, yielding each
+    word in the order it is found.  The walk never holds more than
+    :func:`closure_cap` words: finding one more raises ClosureTooLarge
+    naming the operation.
+
+    >>> list(closure((2, 1, 3, 2), commutation_moves, "demo"))
+    [(2, 1, 3, 2), (2, 3, 1, 2)]
     """
-    word = require_reduced(word, rank)
+    cap = closure_cap()
     seen = {word}
     queue = deque([word])
     while queue:
         u = queue.popleft()
         yield u
-        for v in commutation_moves(u):
+        for v in moves(u):
             if v not in seen:
-                seen.add(v)
-                queue.append(v)
-        for v in braid_moves(u):
-            if v not in seen:
+                if len(seen) >= cap:
+                    raise ClosureTooLarge(
+                        f"{operation}: visited {cap + 1} reduced words, past the cap of {cap}"
+                    )
                 seen.add(v)
                 queue.append(v)
 
 
-def reduced_expressions(word, rank: int, max_size: int | None = None) -> frozenset[Word]:
+def iter_reduced_expressions(word, rank: int, operation: str = "reduced_expressions") -> Iterator[Word]:
+    """
+    Lazily walk the closure of a reduced word under single commutation and
+    braid moves, in breadth-first order starting from the word itself.
+    """
+    yield from closure(require_reduced(word, rank), expression_moves, operation)
+
+
+def reduced_expressions(word, rank: int) -> frozenset[Word]:
     """
     All reduced expressions of the element, i.e. the full Matsumoto closure.
 
@@ -169,38 +191,20 @@ def reduced_expressions(word, rank: int, max_size: int | None = None) -> frozens
     >>> reduced_expressions((1,), 2)
     frozenset({(1,)})
     """
-    cap = closure_cap() if max_size is None else max_size
-    out = set()
-    for u in iter_reduced_expressions(word, rank):
-        out.add(u)
-        if len(out) > cap:
-            raise ClosureTooLarge(f"closure exceeds {cap} words")
-    return frozenset(out)
+    return frozenset(iter_reduced_expressions(word, rank))
 
 
-def commutation_class(word, rank: int, max_size: int | None = None) -> frozenset[Word]:
+def commutation_class(word, rank: int) -> frozenset[Word]:
     """
     The closure of a reduced word under commutation moves only.
 
     >>> sorted(commutation_class((2, 1, 3, 2), 3))
     [(2, 1, 3, 2), (2, 3, 1, 2)]
     """
-    word = require_reduced(word, rank)
-    cap = closure_cap() if max_size is None else max_size
-    seen = {word}
-    queue = deque([word])
-    while queue:
-        u = queue.popleft()
-        for v in commutation_moves(u):
-            if v not in seen:
-                if len(seen) >= cap:
-                    raise ClosureTooLarge(f"closure exceeds {cap} words")
-                seen.add(v)
-                queue.append(v)
-    return frozenset(seen)
+    return frozenset(closure(require_reduced(word, rank), commutation_moves, "commutation_class"))
 
 
-def commutation_classes(word, rank: int, max_size: int | None = None) -> tuple[frozenset[Word], ...]:
+def commutation_classes(word, rank: int) -> tuple[frozenset[Word], ...]:
     """
     Partition of the reduced expressions into commutation classes, ordered
     by least member.
@@ -208,11 +212,10 @@ def commutation_classes(word, rank: int, max_size: int | None = None) -> tuple[f
     >>> [sorted(c) for c in commutation_classes((1, 2, 3, 2, 4), 4)]
     [[(1, 2, 3, 2, 4), (1, 2, 3, 4, 2)], [(1, 3, 2, 3, 4), (3, 1, 2, 3, 4)]]
     """
-    remaining = set(reduced_expressions(word, rank, max_size=max_size))
+    remaining = set(iter_reduced_expressions(word, rank, "commutation_classes"))
     blocks = []
     while remaining:
-        seed = min(remaining)
-        block = commutation_class(seed, rank, max_size=max_size)
+        block = frozenset(closure(min(remaining), commutation_moves, "commutation_classes"))
         blocks.append(block)
         remaining -= block
     return tuple(sorted(blocks, key=min))

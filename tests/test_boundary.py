@@ -10,9 +10,10 @@ from collections import Counter
 import pytest
 
 import cfckit
-from cfckit import cli, conjecture, perms, rings, words
+from cfckit import classify, cli, conjecture, perms, rings, words
 
-SPANS = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SPANS = ROOT / "perfbench" / "spans.py"
 COUNTED = (
     (words, "check_word"),
     (perms, "to_permutation"),
@@ -52,6 +53,54 @@ def test_classify_command_never_rechecks_letters(calls):
 def test_conjecture_sweep_stays_on_permutations(calls):
     assert conjecture.check_conjecture(3).agree
     assert calls == Counter()
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        # one boundary check, then one reducedness test per shift of each
+        # of the 16 reduced expressions
+        pytest.param(
+            lambda: classify.is_cfc((1, 3, 5, 2, 4), 5, "definition"), 81, id="is_cfc-definition"
+        ),
+        pytest.param(
+            lambda: classify.is_cyclically_reduced((1, 3, 5, 2, 4), 5), 81, id="is_cyclically_reduced"
+        ),
+        # the word-level routes walk the checked word without checking again
+        pytest.param(
+            lambda: classify.is_fc((1, 3, 5, 2, 4), 5, "stembridge_scan"), 1, id="is_fc-stembridge"
+        ),
+        pytest.param(
+            lambda: classify.is_fc((2, 1, 3, 2), 3, "single_commutation_class"), 1, id="is_fc-class"
+        ),
+        pytest.param(
+            lambda: words.commutation_classes((1, 2, 3, 2, 4), 4), 1, id="commutation_classes"
+        ),
+    ],
+)
+def test_closure_routes_check_each_input_once(calls, call, expected):
+    call()
+    assert calls["check_word"] == 0
+    assert calls["to_permutation"] == expected
+
+
+def test_words_holds_the_only_closure_walk():
+    # the cap decision lives in words.closure: no other module raises
+    # ClosureTooLarge or keeps a breadth-first queue of its own
+    paths = sorted((ROOT / "src" / "cfckit").glob("*.py"))
+    assert "words.py" in {path.name for path in paths}
+    for path in paths:
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        called = {
+            getattr(n.func, "id", getattr(n.func, "attr", None))
+            for n in nodes
+            if isinstance(n, ast.Call)
+        }
+        imported = {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
+        imported |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        owner = path.name == "words.py"
+        assert ("ClosureTooLarge" in called) == owner, path.name
+        assert ("deque" in imported) == owner, path.name
 
 
 def test_traced_functions_resolve():

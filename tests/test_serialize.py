@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -46,6 +47,12 @@ def test_cycle_text_round_trip_and_normalization():
     assert serialize.cycle_to_text((1, 2, 4, 5)) == "(1 2 4 5)"
     assert serialize.cycle_from_text("(4 5 1 2)") == (1, 2, 4, 5)
     assert serialize.cycle_from_text("(1 2 4 5)") == (1, 2, 4, 5)
+
+
+@pytest.mark.parametrize("text", ["(1 1 2)", "(3 0 -2)", "(a b)", "(1 2.5)"])
+def test_cycle_from_text_rejects_bad_text(text):
+    with pytest.raises(InvalidObject):
+        serialize.cycle_from_text(text)
 
 
 def test_heap_obj_round_trip():
@@ -169,14 +176,15 @@ def test_report_round_trip():
     assert serialize.report_from_obj(obj) == report
 
 
-def test_report_carries_counterexamples():
-    # a disagreement, should one ever appear, must survive serialization
-    report = conjecture.ConjectureReport(
-        rank=3,
-        elements_checked=24,
-        agree=False,
-        counterexamples=(((1, 2), (2, 3, 1, 4), True, False),),
+def test_report_carries_counterexamples(monkeypatch):
+    # a disagreement, should one ever appear, must survive serialization;
+    # the loader recomputes both verdicts, so the predicate is made to disagree
+    predicate = conjecture.conjecture_predicate
+    monkeypatch.setattr(
+        conjecture, "conjecture_predicate", lambda p: p != (2, 3, 1, 4) and predicate(p)
     )
+    report = conjecture.check_conjecture(3)
+    assert report.counterexamples == (((1, 2), (2, 3, 1, 4), False, True),)
     obj = json.loads(json.dumps(serialize.report_to_obj(report)))
     rebuilt = serialize.report_from_obj(obj)
     assert rebuilt == report
@@ -187,6 +195,126 @@ def test_class_table_round_trip():
     table = tables.class_table(3)
     obj = json.loads(json.dumps(serialize.class_table_to_obj(table)))
     assert serialize.class_table_from_obj(obj) == table
+
+
+def test_reports_and_tables_round_trip_across_ranks():
+    for rank in range(1, 6):
+        report = conjecture.check_conjecture(rank)
+        assert serialize.report_from_obj(serialize.report_to_obj(report)) == report
+    for rank in range(1, 5):
+        table = tables.class_table(rank)
+        assert serialize.class_table_from_obj(serialize.class_table_to_obj(table)) == table
+
+
+def _report(*entries, **fields):
+    counterexamples = [
+        {"word": w, "one_line": p, "predicate_verdict": a, "cfc_verdict": b}
+        for w, p, a, b in entries
+    ]
+    obj = {"rank": 3, "elements_checked": 24, "agree": not entries}
+    return {**obj, "counterexamples": counterexamples, **fields}
+
+
+def _table(edit):
+    obj = copy.deepcopy(serialize.class_table_to_obj(tables.class_table(3)))
+    groups = {tuple(g["ring_size_multiset"]): g for g in obj["conjugacy_classes"]}
+    edit(groups)
+    return obj
+
+
+def _leaves(groups, canonical):
+    for group in groups.values():
+        for cyc in group["cyclic_classes"]:
+            if cyc["canonical_word"] == canonical:
+                return cyc
+    raise LookupError(canonical)
+
+
+CONTRADICTED = {
+    "report-agree-with-counterexample": (
+        serialize.report_from_obj,
+        _report(([1], [1, 2, 3], True, True), agree=True),
+        "agree contradicts",
+    ),
+    "report-wrong-count": (serialize.report_from_obj, _report(elements_checked=23), "checks 24"),
+    "report-wrong-degree": (
+        serialize.report_from_obj,
+        _report(([1], [2, 1, 3], True, False)),
+        "rank-3 image",
+    ),
+    "report-not-the-image": (
+        serialize.report_from_obj,
+        _report(([1], [1, 3, 2, 4], True, False)),
+        "rank-3 image",
+    ),
+    "report-not-canonical": (
+        serialize.report_from_obj,
+        _report(([2, 1, 2], [3, 2, 1, 4], True, False)),
+        "canonical word",
+    ),
+    "report-wrong-verdict": (
+        serialize.report_from_obj,
+        _report(([1], [2, 1, 3, 4], False, True)),
+        "recomputation",
+    ),
+    "report-verdicts-agree": (
+        serialize.report_from_obj,
+        _report(([1], [2, 1, 3, 4], True, True)),
+        "no counterexample",
+    ),
+    "report-unsorted": (
+        serialize.report_from_obj,
+        _report(([1], [2, 1, 3, 4], True, False), ([2], [1, 3, 2, 4], True, False)),
+        "sorted",
+    ),
+    "table-non-cfc-leaf": (
+        serialize.class_table_from_obj,
+        {
+            "rank": 2,
+            "conjugacy_classes": [
+                {
+                    "ring_size_multiset": [5],
+                    "cyclic_classes": [
+                        {"canonical_word": [1, 2], "commutation_classes": [[[1, 2, 1]]]}
+                    ],
+                }
+            ],
+        },
+        "not CFC",
+    ),
+    "table-partial-leaf": (
+        serialize.class_table_from_obj,
+        _table(lambda g: _leaves(g, [1, 3])["commutation_classes"][0].pop()),
+        "commutation class",
+    ),
+    "table-unsorted-leaf": (
+        serialize.class_table_from_obj,
+        _table(lambda g: _leaves(g, [1, 3])["commutation_classes"][0].reverse()),
+        "commutation class",
+    ),
+    "table-empty-leaf": (
+        serialize.class_table_from_obj,
+        _table(lambda g: _leaves(g, [1, 3])["commutation_classes"].append([])),
+        "no expressions",
+    ),
+    "table-wrong-canonical-word": (
+        serialize.class_table_from_obj,
+        _table(lambda g: _leaves(g, [1, 2]).update(canonical_word=[2, 1])),
+        "sorted support",
+    ),
+    "table-wrong-ring-sizes": (
+        serialize.class_table_from_obj,
+        _table(lambda g: g[(2,)].update(ring_size_multiset=[1, 1])),
+        "chunk sizes",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRADICTED))
+def test_loaders_reject_contradicted_content(case):
+    load, obj, reason = CONTRADICTED[case]
+    with pytest.raises(InvalidObject, match=reason):
+        load(obj)
 
 
 def test_error_objects_have_stable_codes():

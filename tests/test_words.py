@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from cfckit import perms, words
+from cfckit import classify, heaps, perms, words
 from cfckit.errors import ClosureTooLarge, InvalidGenerator, NotReduced
 
 from oracles import cayley_lengths, word_image
@@ -104,15 +104,41 @@ def test_reduced_expressions_closure_properties():
                 assert v in closure
 
 
-def test_closure_cap_guard():
-    with pytest.raises(ClosureTooLarge):
-        words.reduced_expressions((1, 2, 3, 4, 2), 4, max_size=2)
-
-
 def test_closure_cap_env_override(monkeypatch):
     monkeypatch.setenv(words.CLOSURE_CAP_ENV, "2")
     with pytest.raises(ClosureTooLarge):
         words.reduced_expressions((1, 2, 3, 4, 2), 4)
+
+
+WALKED = (1, 3, 5, 2, 4)  # CFC and cyclically reduced
+# operation -> (call, words its largest walk holds): 16 reduced expressions,
+# all in one commutation class, and 120 words in the cyclic orbit
+CLOSURE_WALKS = {
+    "reduced_expressions": (lambda: words.reduced_expressions(WALKED, 5), 16),
+    "commutation_class": (lambda: words.commutation_class(WALKED, 5), 16),
+    "commutation_classes": (lambda: words.commutation_classes(WALKED, 5), 16),
+    "cyclic_orbit": (lambda: heaps.cyclic_orbit(WALKED, 5), 120),
+    "is_fc(stembridge_scan)": (lambda: classify.is_fc(WALKED, 5, "stembridge_scan"), 16),
+    "is_fc(single_commutation_class)": (
+        lambda: classify.is_fc(WALKED, 5, "single_commutation_class"),
+        16,
+    ),
+    "is_cfc(definition)": (lambda: classify.is_cfc(WALKED, 5, "definition"), 16),
+    "is_cyclically_reduced": (lambda: classify.is_cyclically_reduced(WALKED, 5), 16),
+}
+
+
+@pytest.mark.parametrize("operation", sorted(CLOSURE_WALKS))
+def test_every_closure_stops_at_the_cap_and_names_its_operation(monkeypatch, operation):
+    call, size = CLOSURE_WALKS[operation]
+    monkeypatch.setenv(words.CLOSURE_CAP_ENV, str(size - 1))
+    with pytest.raises(ClosureTooLarge) as info:
+        call()
+    assert str(info.value) == (
+        f"{operation}: visited {size} reduced words, past the cap of {size - 1}"
+    )
+    monkeypatch.setenv(words.CLOSURE_CAP_ENV, str(size))
+    call()
 
 
 def test_commutation_classes_examples():
