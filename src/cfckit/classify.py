@@ -244,17 +244,14 @@ def _distinct_letter_elements(rank: int, supports) -> frozenset[Word]:
 def enumerate_fc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
     """
     Canonical words of all FC elements: the 321-avoiding permutations of
-    degree rank+1, lifted back to words.
+    degree rank+1, generated directly (Catalan(rank+1) of them, never the
+    (rank+1)! others) and lifted back to words.
 
     >>> sorted(enumerate_fc(1))
     [(), (1,)]
     """
     _check_enum_rank(rank, max_rank)
-    out = set()
-    for p in itertools.permutations(range(1, rank + 2)):
-        if perms.find_321(p) is None:
-            out.add(perms.word_from_permutation(p))
-    return frozenset(out)
+    return frozenset(perms.word_from_permutation(p) for p in perms.iter_321_avoiding(rank + 1))
 
 
 def enumerate_cfc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:

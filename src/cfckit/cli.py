@@ -72,7 +72,7 @@ def _cap(args, default: int) -> int:
         return default
     if args.max_rank > default:
         print(
-            f"warning: raising rank cap to {args.max_rank}; runtime grows factorially",
+            f"warning: raising rank cap to {args.max_rank}; runtime grows exponentially",
             file=sys.stderr,
         )
     return args.max_rank

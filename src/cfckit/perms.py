@@ -14,6 +14,8 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+
 from .errors import DegreeMismatch, InvalidGenerator
 
 Perm = tuple[int, ...]
@@ -173,6 +175,46 @@ def find_321(p: Perm):
 
 def contains_321(p: Perm) -> bool:
     return find_321(p) is not None
+
+
+def iter_321_avoiding(degree: int) -> Iterator[Perm]:
+    """
+    Every 321-avoiding permutation of 1..degree (degree >= 1), each once, in
+    lexicographic order: Catalan(degree) of them, built depth-first.
+
+    An entry that is not a left-to-right maximum must be the smallest value
+    not yet placed, or a larger entry before it and a smaller one after it
+    would form a 321; conversely a line built only from such entries and
+    new maxima avoids 321.  So each position takes the smallest unplaced
+    value or any value above the prefix maximum, and every prefix completes.
+
+    >>> list(iter_321_avoiding(3))
+    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
+    """
+    line: list[int] = []
+    placed = [False] * (degree + 2)
+    # one frame per open position: its remaining choices, and the prefix
+    # maximum and smallest unplaced value before it
+    frames = [(iter(range(1, degree + 1)), 0, 1)]
+    while frames:
+        choices, top, low = frames[-1]
+        if len(line) == len(frames):
+            placed[line.pop()] = False
+        v = next(choices, None)
+        if v is None:
+            frames.pop()
+            continue
+        line.append(v)
+        placed[v] = True
+        if len(line) == degree:
+            yield tuple(line)
+            continue
+        top = max(top, v)
+        while placed[low]:
+            low += 1
+        above = range(top + 1, degree + 1)
+        choices = [low, *above] if low < top else above
+        frames.append((iter(choices), top, low))
 
 
 def find_3412(p: Perm):

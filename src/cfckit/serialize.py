@@ -222,8 +222,13 @@ def report_from_obj(obj: dict) -> conjecture.ConjectureReport:
             for entry in obj["counterexamples"]
         ),
     )
-    if report.elements_checked != math.factorial(rank + 1):
-        raise InvalidObject(f"a rank-{rank} sweep checks {math.factorial(rank + 1)} elements")
+    degree = rank + 1
+    # degree! >= 2^(degree-1) exceeds every count of fewer than degree bits,
+    # so a huge rank is rejected without building its factorial
+    if degree > report.elements_checked.bit_length():
+        raise InvalidObject(f"a rank-{rank} sweep checks {degree}! elements")
+    if report.elements_checked != math.factorial(degree):
+        raise InvalidObject(f"a rank-{rank} sweep checks {math.factorial(degree)} elements")
     if report.agree != (not report.counterexamples):
         raise InvalidObject("agree contradicts the counterexample list")
     one_lines = [p for _, p, _, _ in report.counterexamples]

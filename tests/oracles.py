@@ -1,13 +1,16 @@
 """Brute-force oracles the tests trust instead of the code under test.
 
 Everything here is deliberately naive: breadth-first search in the Cayley
-graph for lengths, itertools scans for patterns, and full conjugation
-sweeps for conjugacy.  Expected values frozen into the tests were computed
-with these.
+graph for lengths, itertools scans for patterns, full conjugation sweeps
+for conjugacy, and sweeps of the whole symmetric group for FC enumeration
+and the conjecture check.  Expected values frozen into the tests were
+computed with these.
 """
 
 from collections import deque
 from itertools import combinations, permutations
+
+from cfckit import classify, conjecture, perms
 
 
 def adjacent_swap(line, i):
@@ -114,3 +117,32 @@ def maximal_blocks_by_scan(blocks):
         b for b in blocks if not any(o.level > b.level and abs(o.gen - b.gen) <= 1 for o in blocks)
     ]
     return tuple(sorted(tops, key=lambda b: b.gen))
+
+
+def fc_words_by_sweep(rank):
+    """Canonical words of the FC elements, by filtering all (rank+1)!
+    permutations through the 321 scan."""
+    return frozenset(
+        perms.word_from_permutation(p)
+        for p in permutations(range(1, rank + 2))
+        if perms.find_321(p) is None
+    )
+
+
+def conjecture_report_by_sweep(rank):
+    """The conjecture report, by comparing both verdicts on every one of the
+    (rank+1)! permutations."""
+    counterexamples = []
+    checked = 0
+    for p in permutations(range(1, rank + 2)):
+        checked += 1
+        predicted = conjecture.conjecture_predicate(p)
+        actual = classify.cfc_pattern(p) is None
+        if predicted != actual:
+            counterexamples.append((perms.word_from_permutation(p), p, predicted, actual))
+    return conjecture.ConjectureReport(
+        rank=rank,
+        elements_checked=checked,
+        agree=not counterexamples,
+        counterexamples=tuple(sorted(counterexamples, key=lambda c: c[1])),
+    )

@@ -103,6 +103,23 @@ def test_words_holds_the_only_closure_walk():
         assert ("deque" in imported) == owner, path.name
 
 
+def test_no_module_sweeps_the_symmetric_group():
+    # enumerations generate their elements; full sweeps live in tests/oracles.py
+    for path in sorted((ROOT / "src" / "cfckit").glob("*.py")):
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        swept = [
+            n
+            for n in nodes
+            if (isinstance(n, ast.Attribute) and n.attr == "permutations")
+            or (
+                isinstance(n, ast.ImportFrom)
+                and n.module == "itertools"
+                and any(a.name == "permutations" for a in n.names)
+            )
+        ]
+        assert not swept, path.name
+
+
 def test_traced_functions_resolve():
     tree = ast.parse(SPANS.read_text())
     names = next(

@@ -5,6 +5,8 @@ import pytest
 from cfckit import classify, perms, words
 from cfckit.errors import ClosureTooLarge, NotReduced, RankTooLarge
 
+from oracles import fc_words_by_sweep
+
 
 def all_elements(rank):
     for p in itertools.permutations(range(1, rank + 2)):
@@ -114,6 +116,11 @@ def test_negative_verdicts_always_carry_witnesses():
 def test_enumerate_fc_counts_and_small_sets():
     assert classify.enumerate_fc(1) == frozenset({(), (1,)})
     assert [len(classify.enumerate_fc(n)) for n in (1, 2, 3, 4)] == [2, 5, 14, 42]
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_enumerate_fc_matches_the_full_sweep(rank):
+    assert classify.enumerate_fc(rank) == fc_words_by_sweep(rank)
 
 
 def test_enumerate_fc_matches_pattern_filter():

@@ -5,6 +5,8 @@ import pytest
 from cfckit import classify, conjecture, perms
 from cfckit.errors import RankTooLarge
 
+from oracles import conjecture_report_by_sweep
+
 
 def test_direction_changes_examples():
     assert conjecture.direction_changes((1, 2, 4, 3, 5)) == frozenset({3, 4})
@@ -65,3 +67,33 @@ def test_check_conjecture_rank_cap():
         conjecture.check_conjecture(9)
     with pytest.raises(RankTooLarge):
         conjecture.check_conjecture(3, max_rank=2)
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_check_conjecture_matches_the_full_sweep(rank):
+    assert conjecture.check_conjecture(rank) == conjecture_report_by_sweep(rank)
+
+
+@pytest.mark.parametrize(
+    "degree, size",
+    [(1, 1), (2, 2), (3, 5), (4, 13), (5, 34), (6, 89), (7, 233), (8, 610), (9, 1597)],
+)
+def test_predicate_permutations_are_exactly_the_predicate_set(degree, size):
+    built = list(conjecture.iter_predicate_permutations(degree))
+    everything = itertools.permutations(range(1, degree + 1))
+    expected = {p for p in everything if conjecture.conjecture_predicate(p)}
+    assert len(built) == len(set(built)) == size
+    assert set(built) == expected
+
+
+def test_check_conjecture_past_the_default_cap():
+    report = conjecture.check_conjecture(9, max_rank=9)
+    assert report.elements_checked == 3628800
+    assert report.agree
+
+
+def test_candidate_generators_are_lazy():
+    # Catalan(30) and F(59) permutations: only a lazy generator gets past its first two
+    swap = (*range(1, 29), 30, 29)
+    for generated in (perms.iter_321_avoiding(30), conjecture.iter_predicate_permutations(30)):
+        assert list(itertools.islice(generated, 2)) == [tuple(range(1, 31)), swap]

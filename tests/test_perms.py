@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -84,6 +85,23 @@ def test_pattern_witnesses_are_real():
     i, j, k, l = hit
     p = (3, 4, 1, 2)
     assert p[k - 1] < p[l - 1] < p[i - 1] < p[j - 1]
+
+
+def _holds_321(p):
+    # a 321 exists iff some entry has a larger one before it and a smaller one after it
+    before = list(itertools.accumulate(p, max))
+    after = list(itertools.accumulate(reversed(p), min))[::-1]
+    return any(before[j - 1] > p[j] > after[j + 1] for j in range(1, len(p) - 1))
+
+
+@pytest.mark.parametrize("degree", range(1, 13))
+def test_321_avoiders_are_generated_once_each_in_order(degree):
+    out = list(perms.iter_321_avoiding(degree))
+    assert len(out) == math.comb(2 * degree, degree) // (degree + 1)
+    assert all(a < b for a, b in zip(out, out[1:]))
+    if degree <= 10:
+        # with the count and the order, this makes out every 321-avoider
+        assert all(perms.is_one_line(p) and not _holds_321(p) for p in out)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])

@@ -1,5 +1,6 @@
 import copy
 import json
+import time
 
 import pytest
 
@@ -315,6 +316,15 @@ def test_loaders_reject_contradicted_content(case):
     load, obj, reason = CONTRADICTED[case]
     with pytest.raises(InvalidObject, match=reason):
         load(obj)
+
+
+@pytest.mark.parametrize("rank", [10**6, 10**9])
+def test_report_loader_rejects_a_huge_rank_quickly(rank):
+    obj = {"rank": rank, "elements_checked": 1, "agree": True, "counterexamples": []}
+    start = time.perf_counter()
+    with pytest.raises(InvalidObject, match=f"rank-{rank} sweep checks"):
+        serialize.report_from_obj(obj)
+    assert time.perf_counter() - start < 0.1
 
 
 def test_error_objects_have_stable_codes():
