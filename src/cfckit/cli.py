@@ -15,8 +15,17 @@ from . import classify, conjecture, heaps, rings, serialize, tables
 from .errors import CfcError, WriteFailed
 
 
-def _add_rank(parser, required=True):
-    parser.add_argument("--rank", type=int, required=required, help="number of generators")
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _add_rank(parser, max_rank=False):
+    parser.add_argument("--rank", type=int, required=True, help="number of generators")
+    if max_rank:
+        parser.add_argument("--max-rank", type=_positive_int, default=None)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -25,9 +34,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list FC/CFC/Coxeter elements")
-    _add_rank(p)
+    _add_rank(p, max_rank=True)
     p.add_argument("--kind", choices=("fc", "cfc", "coxeter"), required=True)
-    p.add_argument("--max-rank", type=int, default=None)
 
     p = sub.add_parser("classify", help="FC/CFC verdicts for one word")
     _add_rank(p)
@@ -52,17 +60,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("classtable", help="conjugacy/cyclic/commutation table")
-    _add_rank(p)
-    p.add_argument("--max-rank", type=int, default=None)
+    _add_rank(p, max_rank=True)
 
     p = sub.add_parser("conjecture-check", help="cycle-shape predicate sweep")
-    _add_rank(p)
-    p.add_argument("--max-rank", type=int, default=None)
+    _add_rank(p, max_rank=True)
 
     p = sub.add_parser("counts", help="count FC/CFC/Coxeter elements")
-    _add_rank(p)
+    _add_rank(p, max_rank=True)
     p.add_argument("--kind", choices=("fc", "cfc", "coxeter"), required=True)
-    p.add_argument("--max-rank", type=int, default=None)
 
     return parser
 
@@ -86,13 +91,17 @@ _ENUMERATORS = {
 
 
 def _dispatch(args) -> tuple[dict | str, str | None]:
-    """Returns (payload, optional text rendering)."""
-    if args.command == "enumerate":
+    """Returns (payload, text rendering); listings render only for --format text."""
+    if args.command in ("enumerate", "counts"):
         elements = _ENUMERATORS[args.kind](args.rank, max_rank=_cap(args, classify.ENUM_RANK_CAP))
+        if args.command == "counts":
+            payload = {"rank": args.rank, "kind": args.kind, "count": len(elements)}
+            return payload, f"{len(elements)}\n"
         ordered = sorted(elements, key=lambda w: (len(w), w))
         payload = {"rank": args.rank, "kind": args.kind, "elements": [list(w) for w in ordered]}
-        text = "\n".join(serialize.format_word_text(w, args.rank) for w in ordered) + "\n"
-        return payload, text
+        if args.format != "text":
+            return payload, None
+        return payload, "\n".join(serialize.format_word_text(w, args.rank) for w in ordered) + "\n"
 
     if args.command == "classify":
         word = serialize.parse_word_text(args.word, args.rank)
@@ -147,6 +156,8 @@ def _dispatch(args) -> tuple[dict | str, str | None]:
     if args.command == "classtable":
         table = tables.class_table(args.rank, max_rank=_cap(args, classify.ENUM_RANK_CAP))
         payload = serialize.class_table_to_obj(table)
+        if args.format != "text":
+            return payload, None
         lines = []
         for group in table.conjugacy_classes:
             lines.append(f"ring sizes {list(group.ring_sizes)}:")
@@ -168,11 +179,6 @@ def _dispatch(args) -> tuple[dict | str, str | None]:
             f"agree={report.agree}, counterexamples={len(report.counterexamples)}\n"
         )
         return payload, text
-
-    if args.command == "counts":
-        elements = _ENUMERATORS[args.kind](args.rank, max_rank=_cap(args, classify.ENUM_RANK_CAP))
-        payload = {"rank": args.rank, "kind": args.kind, "count": len(elements)}
-        return payload, f"{len(elements)}\n"
 
     raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
 

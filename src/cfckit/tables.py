@@ -48,9 +48,8 @@ def class_table(rank: int, max_rank: int = classify.ENUM_RANK_CAP) -> ClassTable
     >>> class_table(1).element_count()
     2
     """
-    elements = sorted(classify.enumerate_cfc(rank, max_rank=max_rank), key=lambda w: (len(w), w))
     by_conjugacy: dict[tuple[int, ...], dict[Word, list[Word]]] = {}
-    for element in elements:
+    for element in classify.enumerate_cfc(rank, max_rank=max_rank):
         cylinder = heaps.cylindrical_canonical(element, rank)
         sizes = tuple(sorted((size for _, size in cylinder.ring_profile), reverse=True))
         by_conjugacy.setdefault(sizes, {}).setdefault(cylinder.canonical_word, []).append(element)

@@ -9,12 +9,12 @@ answered in the symmetric group of degree rank+1 via :mod:`cfckit.perms`.
 functions that need one call it on entry, and the functions they call take
 the checked word on trust.
 
-:func:`closure` is the one rewriting walk: every closure in the package
-(reduced expressions, commutation classes, the cyclic orbit and the
-word-level FC/CFC routes) runs through it.  Closures are exponential in the
-worst case, so it holds at most the word cap set by the ``CFC_MAX_CLOSURE``
-environment variable (default 10**6), and past it raises ClosureTooLarge
-naming the operation.
+:func:`closure` is the one rewriting walk: reduced expressions, the cyclic
+orbit and the word-level FC/CFC routes run through it.  Commutation classes
+are built, not walked, by :func:`linear_extensions`.  Both are exponential
+in the worst case, so each holds at most the word cap set by the
+``CFC_MAX_CLOSURE`` environment variable (default 10**6), and past it
+raises ClosureTooLarge naming the operation.
 """
 
 from __future__ import annotations
@@ -148,6 +148,10 @@ def expression_moves(word: Word) -> Iterator[Word]:
     yield from braid_moves(word)
 
 
+def _past_cap(operation: str, cap: int) -> ClosureTooLarge:
+    return ClosureTooLarge(f"{operation}: visited {cap + 1} reduced words, past the cap of {cap}")
+
+
 def closure(word: Word, moves, operation: str) -> Iterator[Word]:
     """
     Walk breadth-first from a checked word under ``moves``, yielding each
@@ -167,11 +171,33 @@ def closure(word: Word, moves, operation: str) -> Iterator[Word]:
         for v in moves(u):
             if v not in seen:
                 if len(seen) >= cap:
-                    raise ClosureTooLarge(
-                        f"{operation}: visited {cap + 1} reduced words, past the cap of {cap}"
-                    )
+                    raise _past_cap(operation, cap)
                 seen.add(v)
                 queue.append(v)
+
+
+def linear_extensions(word: Word, operation: str) -> list[Word]:
+    """
+    The commutation class of a checked word, as the linear extensions of its
+    heap: each letter goes in at every place after the last letter that does
+    not commute with it, so it is the last copy of itself there and each word
+    is built once.  No step holds more words than the class; past
+    :func:`closure_cap` words it raises ClosureTooLarge naming the operation.
+    """
+    cap = closure_cap()
+    level = [()]
+    for a in word:
+        near, piece = (a - 1, a, a + 1), (a,)
+        built = []
+        for u in level:
+            j = len(u)
+            while j and u[j - 1] not in near:
+                j -= 1
+            if len(built) + len(u) + 1 - j > cap:
+                raise _past_cap(operation, cap)
+            built += [u[:i] + piece + u[i:] for i in range(j, len(u) + 1)]
+        level = built
+    return level
 
 
 def iter_reduced_expressions(word, rank: int, operation: str = "reduced_expressions") -> Iterator[Word]:
@@ -201,7 +227,7 @@ def commutation_class(word, rank: int) -> frozenset[Word]:
     >>> sorted(commutation_class((2, 1, 3, 2), 3))
     [(2, 1, 3, 2), (2, 3, 1, 2)]
     """
-    return frozenset(closure(require_reduced(word, rank), commutation_moves, "commutation_class"))
+    return frozenset(linear_extensions(require_reduced(word, rank), "commutation_class"))
 
 
 def commutation_classes(word, rank: int) -> tuple[frozenset[Word], ...]:
@@ -215,7 +241,7 @@ def commutation_classes(word, rank: int) -> tuple[frozenset[Word], ...]:
     remaining = set(iter_reduced_expressions(word, rank, "commutation_classes"))
     blocks = []
     while remaining:
-        block = frozenset(closure(min(remaining), commutation_moves, "commutation_classes"))
+        block = frozenset(linear_extensions(min(remaining), "commutation_classes"))
         blocks.append(block)
         remaining -= block
     return tuple(sorted(blocks, key=min))

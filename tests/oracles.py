@@ -2,15 +2,18 @@
 
 Everything here is deliberately naive: breadth-first search in the Cayley
 graph for lengths, itertools scans for patterns, full conjugation sweeps
-for conjugacy, and sweeps of the whole symmetric group for FC enumeration
-and the conjecture check.  Expected values frozen into the tests were
-computed with these.
+for conjugacy, sweeps of the whole symmetric group for FC enumeration
+and the conjecture check, and the earlier listing kernels: linear
+extensions by a heap queue, the lift that rescans from generator 1, and
+the breadth-first commutation walk.  Expected values frozen into the tests
+were computed with these.
 """
 
+import heapq
 from collections import deque
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
-from cfckit import classify, conjecture, perms
+from cfckit import classify, conjecture, heaps, perms, tables
 
 
 def adjacent_swap(line, i):
@@ -146,3 +149,110 @@ def conjecture_report_by_sweep(rank):
         agree=not counterexamples,
         counterexamples=tuple(sorted(counterexamples, key=lambda c: c[1])),
     )
+
+
+def lex_min_linear_extension(gens, edges):
+    """Lex-least topological order of gens under precedence edges (a before b)."""
+    succ = {g: [] for g in gens}
+    indeg = {g: 0 for g in gens}
+    for a, b in edges:
+        succ[a].append(b)
+        indeg[b] += 1
+    out = []
+    queue = [g for g in gens if indeg[g] == 0]
+    heapq.heapify(queue)
+    while queue:
+        g = heapq.heappop(queue)
+        out.append(g)
+        for h in succ[g]:
+            indeg[h] -= 1
+            if indeg[h] == 0:
+                heapq.heappush(queue, h)
+    return tuple(out)
+
+
+def distinct_letter_words(supports):
+    """Canonical words of all elements with the given supports, one letter
+    each: every orientation of the support's path graph, lifted to its
+    lex-least linear extension."""
+    out = set()
+    for sup in supports:
+        edge_list = [(a, a + 1) for a in sup if a + 1 in sup]
+        for bits in product((True, False), repeat=len(edge_list)):
+            edges = [(a, b) if forward else (b, a) for (a, b), forward in zip(edge_list, bits)]
+            out.add(lex_min_linear_extension(sup, edges))
+    return frozenset(out)
+
+
+def cfc_words_by_orientation(rank):
+    gens = range(1, rank + 1)
+    return distinct_letter_words(
+        sup for size in range(rank + 1) for sup in combinations(gens, size)
+    )
+
+
+def coxeter_words_by_orientation(rank):
+    return distinct_letter_words([tuple(range(1, rank + 1))])
+
+
+def word_from_permutation_by_restart(p):
+    """The lex-least reduced word of p: take the smallest left descent,
+    rescanning from generator 1 after each one."""
+    pos = [0] * (len(p) + 1)
+    for i, v in enumerate(p):
+        pos[v] = i
+    word = []
+    while True:
+        for i in range(1, len(p)):
+            if pos[i + 1] < pos[i]:
+                word.append(i)
+                pos[i], pos[i + 1] = pos[i + 1], pos[i]
+                break
+        else:
+            return tuple(word)
+
+
+def commutation_class_by_walk(word):
+    """Every word reached from ``word`` by swapping adjacent letters that
+    differ by more than 1, breadth-first with a seen-set."""
+    word = tuple(word)
+    seen = {word}
+    queue = deque([word])
+    while queue:
+        u = queue.popleft()
+        for i in range(len(u) - 1):
+            if abs(u[i] - u[i + 1]) > 1:
+                v = u[:i] + (u[i + 1], u[i]) + u[i + 2 :]
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+    return frozenset(seen)
+
+
+def class_table_by_oracles(rank):
+    """The class table with its elements listed by orientation and its
+    leaves by the commutation walk; the grouping follows tables.class_table."""
+    elements = sorted(cfc_words_by_orientation(rank), key=lambda w: (len(w), w))
+    by_conjugacy = {}
+    for element in elements:
+        cylinder = heaps.cylindrical_canonical(element, rank)
+        sizes = tuple(sorted((size for _, size in cylinder.ring_profile), reverse=True))
+        by_conjugacy.setdefault(sizes, {}).setdefault(cylinder.canonical_word, []).append(element)
+    groups = [
+        tables.ConjugacyClassGroup(
+            sizes,
+            tuple(
+                tables.CyclicClassGroup(
+                    canonical,
+                    tuple(
+                        tuple(sorted(commutation_class_by_walk(m)))
+                        for m in sorted(cyclic_map[canonical])
+                    ),
+                )
+                for canonical in sorted(cyclic_map)
+            ),
+        )
+        for sizes, cyclic_map in by_conjugacy.items()
+    ]
+    groups.sort(key=lambda g: (sum(g.ring_sizes), g.cyclic_classes[0].canonical_word))
+    return tables.ClassTable(rank, tuple(groups))

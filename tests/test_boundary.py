@@ -85,8 +85,9 @@ def test_closure_routes_check_each_input_once(calls, call, expected):
 
 
 def test_words_holds_the_only_closure_walk():
-    # the cap decision lives in words.closure: no other module raises
-    # ClosureTooLarge or keeps a breadth-first queue of its own
+    # the cap decisions live in words, in the closure walk and the
+    # commutation-class builder: no other module raises ClosureTooLarge or
+    # keeps a breadth-first queue of its own
     paths = sorted((ROOT / "src" / "cfckit").glob("*.py"))
     assert "words.py" in {path.name for path in paths}
     for path in paths:

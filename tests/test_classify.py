@@ -5,7 +5,7 @@ import pytest
 from cfckit import classify, perms, words
 from cfckit.errors import ClosureTooLarge, NotReduced, RankTooLarge
 
-from oracles import fc_words_by_sweep
+from oracles import cfc_words_by_orientation, coxeter_words_by_orientation, fc_words_by_sweep
 
 
 def all_elements(rank):
@@ -150,6 +150,24 @@ def test_enumerate_cfc_matches_pattern_filter():
             if not perms.contains_321(p) and not perms.contains_3412(p)
         }
         assert classify.enumerate_cfc(rank) == expected
+
+
+@pytest.mark.parametrize("rank", range(1, 10))
+def test_interval_words_match_the_orientation_oracle(rank):
+    assert classify.enumerate_cfc(rank) == cfc_words_by_orientation(rank)
+    assert classify.enumerate_coxeter(rank) == coxeter_words_by_orientation(rank)
+
+
+def test_interval_word_counts_and_lifts():
+    fib = [0, 1]
+    while len(fib) < 26:
+        fib.append(fib[-1] + fib[-2])
+    for rank in range(1, 13):
+        assert len(classify.enumerate_cfc(rank, max_rank=12)) == fib[2 * rank + 1]
+        assert len(classify.enumerate_coxeter(rank, max_rank=12)) == 2 ** (rank - 1)
+    for rank in range(1, 10):
+        for w in classify.enumerate_cfc(rank):
+            assert perms.word_from_permutation(perms.to_permutation(w, rank)) == w
 
 
 def test_enumerate_coxeter():

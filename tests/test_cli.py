@@ -1,5 +1,6 @@
 import json
 
+from cfckit import serialize
 from cfckit.cli import run
 
 
@@ -113,6 +114,28 @@ def test_usage_error_exits_two(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "nonsense")
     assert code == 2
+
+
+def test_non_positive_max_rank_is_a_usage_error(capsys):
+    for bad in ("-5", "0"):
+        code, out, err = invoke(capsys, "counts", "--rank", "3", "--kind", "fc", "--max-rank", bad)
+        assert code == 2
+        assert out == ""
+        assert "must be a positive integer" in err
+
+
+def test_listings_build_text_only_when_asked(capsys, monkeypatch):
+    calls = []
+    original = serialize.format_word_text
+    monkeypatch.setattr(
+        serialize, "format_word_text", lambda *args: calls.append(args) or original(*args)
+    )
+    for argv in (["enumerate", "--kind", "cfc", "--rank", "5"], ["classtable", "--rank", "4"]):
+        assert invoke(capsys, *argv)[0] == 0
+    assert calls == []
+    code, out, _ = invoke(capsys, "--format", "text", "enumerate", "--kind", "cfc", "--rank", "5")
+    assert code == 0
+    assert len(calls) == len(out.splitlines()) == 89
 
 
 def test_max_rank_warning(capsys):

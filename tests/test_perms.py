@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -7,7 +8,13 @@ from hypothesis import given, strategies as st
 from cfckit import perms, words
 from cfckit.errors import DegreeMismatch
 
-from oracles import cayley_lengths, conjugacy_orbit, naive_contains_321, naive_contains_3412
+from oracles import (
+    cayley_lengths,
+    conjugacy_orbit,
+    naive_contains_321,
+    naive_contains_3412,
+    word_from_permutation_by_restart,
+)
 
 
 def test_to_permutation_examples():
@@ -166,3 +173,18 @@ def test_word_from_permutation_round_trip_and_lex_minimality():
     for p in itertools.permutations(range(1, 5)):
         w = perms.word_from_permutation(p)
         assert w == min(words.reduced_expressions(w, 3))
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_resuming_lift_matches_the_restart_oracle(degree):
+    for p in itertools.permutations(range(1, degree + 1)):
+        assert perms.word_from_permutation(p) == word_from_permutation_by_restart(p)
+
+
+def test_resuming_lift_matches_the_restart_oracle_at_degree_201():
+    rng = random.Random(201)
+    for _ in range(200):
+        line = list(range(1, 202))
+        rng.shuffle(line)
+        p = tuple(line)
+        assert perms.word_from_permutation(p) == word_from_permutation_by_restart(p)

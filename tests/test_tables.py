@@ -3,6 +3,8 @@ import pytest
 from cfckit import classify, perms, tables, words
 from cfckit.errors import RankTooLarge
 
+from oracles import class_table_by_oracles
+
 
 def test_rank_one_table():
     table = tables.class_table(1)
@@ -70,3 +72,8 @@ def test_conjugacy_grouping_matches_cycle_types():
 def test_table_rank_cap():
     with pytest.raises(RankTooLarge):
         tables.class_table(3, max_rank=2)
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_table_matches_the_oracle_table(rank):
+    assert tables.class_table(rank) == class_table_by_oracles(rank)

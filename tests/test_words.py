@@ -1,11 +1,13 @@
 import itertools
+import random
+import tracemalloc
 
 import pytest
 
 from cfckit import classify, heaps, perms, words
 from cfckit.errors import ClosureTooLarge, InvalidGenerator, NotReduced
 
-from oracles import cayley_lengths, word_image
+from oracles import cayley_lengths, commutation_class_by_walk, word_image
 
 
 def test_m_value_table():
@@ -139,6 +141,39 @@ def test_every_closure_stops_at_the_cap_and_names_its_operation(monkeypatch, ope
     )
     monkeypatch.setenv(words.CLOSURE_CAP_ENV, str(size))
     call()
+
+
+def test_commutation_class_builder_stops_at_the_cap(monkeypatch):
+    order = list(range(1, 41))
+    random.Random(40).shuffle(order)
+    monkeypatch.setenv(words.CLOSURE_CAP_ENV, "1000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ClosureTooLarge) as info:
+            words.commutation_class(order, 40)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert str(info.value) == "commutation_class: visited 1001 reduced words, past the cap of 1000"
+    assert peak < 5 * 2**20
+
+
+def reduced_words(rank, max_length):
+    """Every reduced word of length at most max_length, by length."""
+    level = [()]
+    while level:
+        yield from level
+        if len(level[0]) == max_length:
+            return
+        level = [
+            w + (g,) for w in level for g in range(1, rank + 1) if words.is_reduced(w + (g,), rank)
+        ]
+
+
+@pytest.mark.parametrize("rank, max_length", [(1, 1), (2, 3), (3, 6), (4, 10), (5, 7)])
+def test_commutation_class_matches_the_walk(rank, max_length):
+    for w in reduced_words(rank, max_length):
+        assert words.commutation_class(w, rank) == commutation_class_by_walk(w)
 
 
 def test_commutation_classes_examples():
