@@ -1,4 +1,4 @@
-"""FC and CFC classification, each by three independently implemented routes.
+"""FC and CFC classification by pattern avoidance.
 
 An element is fully commutative (FC) when its reduced expressions form a
 single commutation class; equivalently no reduced expression contains a
@@ -8,8 +8,11 @@ reduced expression is again a reduced expression of an FC element; in type A
 that happens exactly when no generator repeats in the word, equivalently
 when the image avoids both 321 and 3412.
 
-The pattern routes are the fast defaults; the word-level routes are kept as
-ground truth and the test suite pins all routes to agree.
+Each verdict has one route here, the pattern scan of the element's image
+(Billey-Jockusch-Stanley for 321, Boothby et al. for 3412).  The literal,
+word-level routes (braid-factor scans, commutation-class counting, the
+cyclic definition, a repeated letter) live in ``tests/oracles.py``, and the
+tests pin the verdicts here to them.
 
 A CFC element uses each support generator once, so its canonical word is
 its support cut after each g that precedes g+1, each piece decreasing:
@@ -29,9 +32,6 @@ from .errors import NotCFC, RankTooLarge
 
 Word = tuple[int, ...]
 
-FC_METHODS = ("stembridge_scan", "single_commutation_class", "pattern_321")
-CFC_METHODS = ("definition", "pattern_321_3412", "support_once")
-
 ENUM_RANK_CAP = 9
 
 
@@ -49,60 +49,21 @@ class CfcVerdict:
     witness: dict | None = None
 
 
-def _braid_factor(word: Word) -> int | None:
-    """Index of the first factor iji with |i-j| = 1, or None."""
-    for i in range(len(word) - 2):
-        a, b, c = word[i], word[i + 1], word[i + 2]
-        if a == c and abs(a - b) == 1:
-            return i
-    return None
-
-
-def _braid_scan(word: Word, operation: str) -> tuple[Word, int] | None:
-    """The first reduced expression of a checked word, in walk order, that
-    holds a braid factor, with the factor's index; None if there is none."""
-    for u in words.closure(word, words.expression_moves, operation):
-        i = _braid_factor(u)
-        if i is not None:
-            return u, i
-    return None
-
-
-def is_fc(word, rank: int, method: str = "pattern_321") -> FcVerdict:
+def is_fc(word, rank: int) -> FcVerdict:
     """
-    Decide full commutativity of the element of a reduced word.
+    Decide full commutativity of the element of a reduced word: its image
+    avoids 321, with the first occurrence as the witness otherwise.
 
     >>> is_fc((2, 1, 3, 2), 3).is_fc
     True
-    >>> is_fc((3, 2, 1, 3), 3).is_fc
-    False
+    >>> is_fc((3, 2, 1, 3), 3).witness
+    {'kind': '321', 'positions': [1, 3, 4]}
     """
     word = words.require_reduced(word, rank)
-    if method == "pattern_321":
-        hit = perms.find_321(perms.to_permutation(word, rank))
-        if hit is None:
-            return FcVerdict(True, method)
-        return FcVerdict(False, method, {"kind": "321", "positions": list(hit)})
-    if method == "stembridge_scan":
-        # walk the Matsumoto closure, stopping at the first braid factor
-        hit = _braid_scan(word, "is_fc(stembridge_scan)")
-        if hit is None:
-            return FcVerdict(True, method)
-        u, i = hit
-        return FcVerdict(False, method, {"kind": "braid", "word": list(u), "position": i})
-    if method == "single_commutation_class":
-        # a braid move changes the letter multiset, so any applicable braid
-        # move exits the commutation class and forces a second class
-        for u in sorted(
-            words.closure(word, words.commutation_moves, "is_fc(single_commutation_class)")
-        ):
-            i = _braid_factor(u)
-            if i is not None:
-                b = u[i + 1]
-                other = u[:i] + (b, u[i], b) + u[i + 3 :]
-                return FcVerdict(False, method, {"kind": "second_class", "word": list(other)})
-        return FcVerdict(True, method)
-    raise ValueError(f"unknown FC method {method!r}")
+    hit = perms.find_321(perms.to_permutation(word, rank))
+    if hit is None:
+        return FcVerdict(True, "pattern_321")
+    return FcVerdict(False, "pattern_321", {"kind": "321", "positions": list(hit)})
 
 
 def is_cyclically_reduced(word, rank: int) -> bool:
@@ -133,9 +94,11 @@ def cfc_pattern(p) -> dict | None:
     return None
 
 
-def is_cfc(word, rank: int, method: str = "pattern_321_3412") -> CfcVerdict:
+def is_cfc(word, rank: int) -> CfcVerdict:
     """
-    Decide cyclic full commutativity of the element of a reduced word.
+    Decide cyclic full commutativity of the element of a reduced word: its
+    image avoids 321 and 3412, with the first occurrence as the witness
+    otherwise.
 
     >>> is_cfc((1, 2, 4, 3), 4).is_cfc
     True
@@ -143,29 +106,8 @@ def is_cfc(word, rank: int, method: str = "pattern_321_3412") -> CfcVerdict:
     False
     """
     word = words.require_reduced(word, rank)
-    if method == "pattern_321_3412":
-        witness = cfc_pattern(perms.to_permutation(word, rank))
-        return CfcVerdict(witness is None, method, witness)
-    if method == "support_once":
-        first = {}
-        for pos, g in enumerate(word):
-            if g in first:
-                return CfcVerdict(
-                    False, method, {"kind": "repeat", "generator": g, "positions": [first[g], pos]}
-                )
-            first[g] = pos
-        return CfcVerdict(True, method)
-    if method == "definition":
-        operation = "is_cfc(definition)"
-        for u in words.closure(word, words.expression_moves, operation):
-            v = u
-            for k in range(1, len(u) + 1):
-                v = words.cyclic_shift(v)
-                if not words.is_reduced(v, rank) or _braid_scan(v, operation) is not None:
-                    failing = {"kind": "shift", "expression": list(u), "shifts": k, "word": list(v)}
-                    return CfcVerdict(False, method, failing)
-        return CfcVerdict(True, method)
-    raise ValueError(f"unknown CFC method {method!r}")
+    witness = cfc_pattern(perms.to_permutation(word, rank))
+    return CfcVerdict(witness is None, "pattern_321_3412", witness)
 
 
 def _check_enum_rank(rank: int, max_rank: int) -> None:

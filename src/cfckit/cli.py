@@ -90,74 +90,76 @@ _ENUMERATORS = {
 }
 
 
-def _dispatch(args) -> tuple[dict | str, str | None]:
-    """Returns (payload, text rendering); listings render only for --format text."""
+def _dispatch(args) -> dict | str:
+    """The answer as it prints: a JSON object, or the text (or drawing) to write."""
+    text = args.format == "text"
     if args.command in ("enumerate", "counts"):
         elements = _ENUMERATORS[args.kind](args.rank, max_rank=_cap(args, classify.ENUM_RANK_CAP))
         if args.command == "counts":
-            payload = {"rank": args.rank, "kind": args.kind, "count": len(elements)}
-            return payload, f"{len(elements)}\n"
+            if text:
+                return f"{len(elements)}\n"
+            return {"rank": args.rank, "kind": args.kind, "count": len(elements)}
         ordered = sorted(elements, key=lambda w: (len(w), w))
-        payload = {"rank": args.rank, "kind": args.kind, "elements": [list(w) for w in ordered]}
-        if args.format != "text":
-            return payload, None
-        return payload, "\n".join(serialize.format_word_text(w, args.rank) for w in ordered) + "\n"
+        if text:
+            return "\n".join(serialize.format_word_text(w, args.rank) for w in ordered) + "\n"
+        return {"rank": args.rank, "kind": args.kind, "elements": [list(w) for w in ordered]}
 
     if args.command == "classify":
         word = serialize.parse_word_text(args.word, args.rank)
         fc = classify.is_fc(word, args.rank)
         cfc = classify.is_cfc(word, args.rank)
-        payload = {
+        # walked in both formats, so a walk past the closure cap fails in both
+        cyclically_reduced = classify.is_cyclically_reduced(word, args.rank)
+        if text:
+            return (
+                f"word {serialize.format_word_text(word, args.rank)} (rank {args.rank}): "
+                f"FC={fc.is_fc} CFC={cfc.is_cfc}\n"
+            )
+        return {
             "rank": args.rank,
             "word": list(word),
             "is_fc": fc.is_fc,
             "is_cfc": cfc.is_cfc,
-            "is_cyclically_reduced": classify.is_cyclically_reduced(word, args.rank),
+            "is_cyclically_reduced": cyclically_reduced,
             "fc": serialize.fc_verdict_to_obj(fc),
             "cfc": serialize.cfc_verdict_to_obj(cfc),
         }
-        text = (
-            f"word {serialize.format_word_text(word, args.rank)} (rank {args.rank}): "
-            f"FC={fc.is_fc} CFC={cfc.is_cfc}\n"
-        )
-        return payload, text
 
     if args.command == "conj":
         w = serialize.parse_word_text(args.w, args.rank)
         y = serialize.parse_word_text(args.y, args.rank)
         conjugate = rings.is_conjugate_cfc(w, y, args.rank)
-        payload = {"rank": args.rank, "w": list(w), "y": list(y), "conjugate": conjugate}
-        return payload, f"conjugate: {conjugate}\n"
+        if text:
+            return f"conjugate: {conjugate}\n"
+        return {"rank": args.rank, "w": list(w), "y": list(y), "conjugate": conjugate}
 
     if args.command == "witness":
         w = serialize.parse_word_text(args.w, args.rank)
         y = serialize.parse_word_text(args.y, args.rank)
         cert = rings.conjugacy_witness(w, y, args.rank)
         if cert is None:
-            return {"rank": args.rank, "conjugate": False}, "not conjugate\n"
-        payload = serialize.certificate_to_obj(cert)
-        payload["rank"] = args.rank
-        text = f"conjugator: {serialize.format_word_text(cert.conjugator, args.rank)}\n"
-        return payload, text
+            return "not conjugate\n" if text else {"rank": args.rank, "conjugate": False}
+        if text:
+            return f"conjugator: {serialize.format_word_text(cert.conjugator, args.rank)}\n"
+        return serialize.certificate_to_obj(cert) | {"rank": args.rank}
 
     if args.command == "render":
         word = serialize.parse_word_text(args.word, args.rank)
         heap = heaps.build_heap(word, args.rank)
         drawing = heaps.render(heap, args.render_format)
-        if args.out:
-            try:
-                with open(args.out, "w", encoding="utf-8") as handle:
-                    handle.write(drawing)
-            except OSError as exc:
-                raise WriteFailed(f"cannot write {args.out}: {exc.strerror}") from None
-            return {"written": args.out}, f"wrote {args.out}\n"
-        return drawing, drawing
+        if not args.out:
+            return drawing
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(drawing)
+        except OSError as exc:
+            raise WriteFailed(f"cannot write {args.out}: {exc.strerror}") from None
+        return f"wrote {args.out}\n" if text else {"written": args.out}
 
     if args.command == "classtable":
         table = tables.class_table(args.rank, max_rank=_cap(args, classify.ENUM_RANK_CAP))
-        payload = serialize.class_table_to_obj(table)
-        if args.format != "text":
-            return payload, None
+        if not text:
+            return serialize.class_table_to_obj(table)
         lines = []
         for group in table.conjugacy_classes:
             lines.append(f"ring sizes {list(group.ring_sizes)}:")
@@ -167,18 +169,18 @@ def _dispatch(args) -> tuple[dict | str, str | None]:
                 )
                 canonical = serialize.format_word_text(cyc.canonical_word, args.rank)
                 lines.append(f"  cyclic class {canonical}: {members}")
-        return payload, "\n".join(lines) + "\n"
+        return "\n".join(lines) + "\n"
 
     if args.command == "conjecture-check":
         report = conjecture.check_conjecture(
             args.rank, max_rank=_cap(args, conjecture.CONJECTURE_RANK_CAP)
         )
-        payload = serialize.report_to_obj(report)
-        text = (
-            f"rank {report.rank}: checked {report.elements_checked} permutations, "
-            f"agree={report.agree}, counterexamples={len(report.counterexamples)}\n"
-        )
-        return payload, text
+        if text:
+            return (
+                f"rank {report.rank}: checked {report.elements_checked} permutations, "
+                f"agree={report.agree}, counterexamples={len(report.counterexamples)}\n"
+            )
+        return serialize.report_to_obj(report)
 
     raise ValueError(f"unknown command {args.command!r}")  # pragma: no cover
 
@@ -190,17 +192,15 @@ def run(argv) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        payload, text = _dispatch(args)
+        answer = _dispatch(args)
     except CfcError as exc:
         print(json.dumps(serialize.error_to_obj(exc)))
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.format == "text" and text is not None:
-        sys.stdout.write(text)
-    elif isinstance(payload, str):
-        sys.stdout.write(payload)
+    if isinstance(answer, str):
+        sys.stdout.write(answer)
     else:
-        print(json.dumps(payload))
+        print(json.dumps(answer))
     return 0
 
 

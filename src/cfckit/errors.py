@@ -45,6 +45,12 @@ class DegreeMismatch(CfcError):
     code = "degree_mismatch"
 
 
+class NotAPermutation(CfcError):
+    """A one-line sequence is not a permutation of 1..degree."""
+
+    code = "not_a_permutation"
+
+
 class NotCFC(CfcError):
     """Operation requires a cyclically fully commutative element."""
 

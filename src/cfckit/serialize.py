@@ -33,12 +33,17 @@ def parse_word_text(text: str, rank: int) -> Word:
     text = text.strip()
     if text in ("", "e"):
         return ()
-    try:
-        if "," in text or rank > 9:
-            return tuple(int(part) for part in text.split(","))
-        return tuple(int(ch) for ch in text)
-    except ValueError:
-        raise InvalidGenerator(f"cannot parse word {text!r}") from None
+    # int() also reads underscores and non-ASCII digits; the notation has neither
+    if "_" not in text and (
+        text.isascii() or not any(ch.isdecimal() and not ch.isascii() for ch in text)
+    ):
+        try:
+            if "," in text or rank > 9:
+                return tuple(int(part) for part in text.split(","))
+            return tuple(int(ch) for ch in text)
+        except ValueError:
+            pass
+    raise InvalidGenerator(f"cannot parse word {text!r}")
 
 
 def format_word_text(word: Word, rank: int) -> str:

@@ -3,17 +3,18 @@
 Everything here is deliberately naive: breadth-first search in the Cayley
 graph for lengths, itertools scans for patterns, full conjugation sweeps
 for conjugacy, sweeps of the whole symmetric group for FC enumeration
-and the conjecture check, and the earlier listing kernels: linear
-extensions by a heap queue, the lift that rescans from generator 1, and
-the breadth-first commutation walk.  Expected values frozen into the tests
-were computed with these.
+and the conjecture check, the earlier listing kernels (linear
+extensions by a heap queue, the lift that rescans from generator 1, the
+breadth-first commutation walk), and the word-level FC / CFC routes that
+decide each verdict from its definition.  Expected values frozen into the
+tests were computed with these.
 """
 
 import heapq
 from collections import deque
 from itertools import combinations, permutations, product
 
-from cfckit import classify, conjecture, heaps, perms, tables
+from cfckit import classify, conjecture, heaps, perms, tables, words
 
 
 def adjacent_swap(line, i):
@@ -256,3 +257,94 @@ def class_table_by_oracles(rank):
     ]
     groups.sort(key=lambda g: (sum(g.ring_sizes), g.cyclic_classes[0].canonical_word))
     return tables.ClassTable(rank, tuple(groups))
+
+
+def _braid_factor(word):
+    """Index of the first factor iji with |i-j| = 1, or None."""
+    for i in range(len(word) - 2):
+        a, b, c = word[i], word[i + 1], word[i + 2]
+        if a == c and abs(a - b) == 1:
+            return i
+    return None
+
+
+def _braid_scan(word, operation):
+    """The first reduced expression of a checked word, in walk order, that
+    holds a braid factor, with the factor's index; None if there is none."""
+    for u in words.closure(word, words.expression_moves, operation):
+        i = _braid_factor(u)
+        if i is not None:
+            return u, i
+    return None
+
+
+def stembridge_scan(word, rank):
+    """FC iff no reduced expression holds a braid factor: walk the Matsumoto
+    closure and stop at the first one."""
+    word = words.require_reduced(word, rank)
+    hit = _braid_scan(word, "is_fc(stembridge_scan)")
+    if hit is None:
+        return classify.FcVerdict(True, "stembridge_scan")
+    u, i = hit
+    return classify.FcVerdict(
+        False, "stembridge_scan", {"kind": "braid", "word": list(u), "position": i}
+    )
+
+
+def single_commutation_class(word, rank):
+    """FC iff the reduced expressions form one commutation class.  A braid
+    move changes the letter multiset, so any braid move that applies inside
+    the class leaves it and names a second class."""
+    word = words.require_reduced(word, rank)
+    walk = words.closure(word, words.commutation_moves, "is_fc(single_commutation_class)")
+    for u in sorted(walk):
+        i = _braid_factor(u)
+        if i is not None:
+            b = u[i + 1]
+            other = u[:i] + (b, u[i], b) + u[i + 3 :]
+            return classify.FcVerdict(
+                False, "single_commutation_class", {"kind": "second_class", "word": list(other)}
+            )
+    return classify.FcVerdict(True, "single_commutation_class")
+
+
+def definition(word, rank):
+    """CFC from the definition: every cyclic shift of every reduced
+    expression is reduced and holds no braid factor in any of its own
+    reduced expressions."""
+    word = words.require_reduced(word, rank)
+    operation = "is_cfc(definition)"
+    for u in words.closure(word, words.expression_moves, operation):
+        v = u
+        for k in range(1, len(u) + 1):
+            v = words.cyclic_shift(v)
+            if not words.is_reduced(v, rank) or _braid_scan(v, operation) is not None:
+                failing = {"kind": "shift", "expression": list(u), "shifts": k, "word": list(v)}
+                return classify.CfcVerdict(False, "definition", failing)
+    return classify.CfcVerdict(True, "definition")
+
+
+def support_once(word, rank):
+    """CFC in type A iff no generator repeats in a reduced word."""
+    word = words.require_reduced(word, rank)
+    first = {}
+    for pos, g in enumerate(word):
+        if g in first:
+            witness = {"kind": "repeat", "generator": g, "positions": [first[g], pos]}
+            return classify.CfcVerdict(False, "support_once", witness)
+        first[g] = pos
+    return classify.CfcVerdict(True, "support_once")
+
+
+# every route to each verdict, keyed by the method name its verdicts carry:
+# the package's pattern scan and the word-level oracles above
+FC_ROUTES = {
+    "stembridge_scan": stembridge_scan,
+    "single_commutation_class": single_commutation_class,
+    "pattern_321": classify.is_fc,
+}
+CFC_ROUTES = {
+    "definition": definition,
+    "pattern_321_3412": classify.is_cfc,
+    "support_once": support_once,
+}

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 from cfckit import classify, conjecture, heaps, perms, rings, serialize, tables, words
 
-from oracles import conjugacy_orbit
+from oracles import CFC_ROUTES, FC_ROUTES, conjugacy_orbit
 
 
 @contextmanager
@@ -114,9 +114,9 @@ def test_criterion_6_classifier_cross_validation():
         for rank in range(1, 6):
             for p in itertools.permutations(range(1, rank + 2)):
                 w = perms.word_from_permutation(p)
-                fc = {classify.is_fc(w, rank, m).is_fc for m in classify.FC_METHODS}
+                fc = {route(w, rank).is_fc for route in FC_ROUTES.values()}
                 assert len(fc) == 1, (rank, w)
-                cfc = {classify.is_cfc(w, rank, m).is_cfc for m in classify.CFC_METHODS}
+                cfc = {route(w, rank).is_cfc for route in CFC_ROUTES.values()}
                 assert len(cfc) == 1, (rank, w)
                 checked += 1
         assert checked == 2 + 6 + 24 + 120 + 720

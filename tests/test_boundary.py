@@ -12,6 +12,8 @@ import pytest
 import cfckit
 from cfckit import classify, cli, conjecture, perms, rings, words
 
+from oracles import definition, single_commutation_class, stembridge_scan
+
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 COUNTED = (
@@ -60,19 +62,13 @@ def test_conjecture_sweep_stays_on_permutations(calls):
     [
         # one boundary check, then one reducedness test per shift of each
         # of the 16 reduced expressions
-        pytest.param(
-            lambda: classify.is_cfc((1, 3, 5, 2, 4), 5, "definition"), 81, id="is_cfc-definition"
-        ),
+        pytest.param(lambda: definition((1, 3, 5, 2, 4), 5), 81, id="is_cfc-definition"),
         pytest.param(
             lambda: classify.is_cyclically_reduced((1, 3, 5, 2, 4), 5), 81, id="is_cyclically_reduced"
         ),
         # the word-level routes walk the checked word without checking again
-        pytest.param(
-            lambda: classify.is_fc((1, 3, 5, 2, 4), 5, "stembridge_scan"), 1, id="is_fc-stembridge"
-        ),
-        pytest.param(
-            lambda: classify.is_fc((2, 1, 3, 2), 3, "single_commutation_class"), 1, id="is_fc-class"
-        ),
+        pytest.param(lambda: stembridge_scan((1, 3, 5, 2, 4), 5), 1, id="is_fc-stembridge"),
+        pytest.param(lambda: single_commutation_class((2, 1, 3, 2), 3), 1, id="is_fc-class"),
         pytest.param(
             lambda: words.commutation_classes((1, 2, 3, 2, 4), 4), 1, id="commutation_classes"
         ),

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import pytest
@@ -5,7 +6,17 @@ import pytest
 from cfckit import classify, perms, words
 from cfckit.errors import ClosureTooLarge, NotReduced, RankTooLarge
 
-from oracles import cfc_words_by_orientation, coxeter_words_by_orientation, fc_words_by_sweep
+from oracles import (
+    CFC_ROUTES,
+    FC_ROUTES,
+    cfc_words_by_orientation,
+    coxeter_words_by_orientation,
+    definition,
+    fc_words_by_sweep,
+    single_commutation_class,
+    stembridge_scan,
+    support_once,
+)
 
 
 def all_elements(rank):
@@ -13,31 +24,39 @@ def all_elements(rank):
         yield perms.word_from_permutation(p)
 
 
-@pytest.mark.parametrize("method", classify.FC_METHODS)
+@pytest.mark.parametrize("method", FC_ROUTES)
 def test_is_fc_examples(method):
-    assert classify.is_fc((2, 1, 3, 2), 3, method).is_fc
-    verdict = classify.is_fc((1, 4, 3, 5, 2, 1, 3, 4), 5, method)
+    is_fc = FC_ROUTES[method]
+    assert is_fc((2, 1, 3, 2), 3).is_fc
+    verdict = is_fc((1, 4, 3, 5, 2, 1, 3, 4), 5)
     assert not verdict.is_fc
     assert verdict.witness is not None
-    assert not classify.is_fc((3, 2, 1, 3), 3, method).is_fc
+    assert verdict.method == method
+    assert not is_fc((3, 2, 1, 3), 3).is_fc
 
 
 def test_fc_witness_payloads():
-    v = classify.is_fc((3, 2, 1, 3), 3, "stembridge_scan")
+    v = stembridge_scan((3, 2, 1, 3), 3)
     word, pos = tuple(v.witness["word"]), v.witness["position"]
     a, b, c = word[pos : pos + 3]
     assert a == c and abs(a - b) == 1
     assert word in words.reduced_expressions((3, 2, 1, 3), 3)
 
-    v = classify.is_fc((3, 2, 1, 3), 3, "single_commutation_class")
+    v = single_commutation_class((3, 2, 1, 3), 3)
     other = tuple(v.witness["word"])
     assert other in words.reduced_expressions((3, 2, 1, 3), 3)
     assert other not in words.commutation_class((3, 2, 1, 3), 3)
 
-    v = classify.is_fc((3, 2, 1, 3), 3, "pattern_321")
+    v = classify.is_fc((3, 2, 1, 3), 3)
     i, j, k = v.witness["positions"]
     p = perms.to_permutation((3, 2, 1, 3), 3)
     assert p[i - 1] > p[j - 1] > p[k - 1]
+
+
+def test_each_verdict_has_one_route():
+    # the word-level routes are oracles the tests compare against, not options
+    for decide in (classify.is_fc, classify.is_cfc):
+        assert list(inspect.signature(decide).parameters) == ["word", "rank"]
 
 
 def test_is_fc_requires_reduced():
@@ -56,30 +75,32 @@ def test_reduced_expression_walks_stop_at_the_closure_cap(monkeypatch):
     assert len(words.reduced_expressions(word, 5)) == 16
     monkeypatch.setenv(words.CLOSURE_CAP_ENV, "16")
     assert classify.is_cyclically_reduced(word, 5)
-    assert classify.is_cfc(word, 5, method="definition").is_cfc
+    assert definition(word, 5).is_cfc
     monkeypatch.setenv(words.CLOSURE_CAP_ENV, "5")
     with pytest.raises(ClosureTooLarge, match="is_cyclically_reduced: visited 6 "):
         classify.is_cyclically_reduced(word, 5)
     with pytest.raises(ClosureTooLarge, match="visited 6 reduced words"):
-        classify.is_cfc(word, 5, method="definition")
+        definition(word, 5)
 
 
-@pytest.mark.parametrize("method", classify.CFC_METHODS)
+@pytest.mark.parametrize("method", CFC_ROUTES)
 def test_is_cfc_examples(method):
-    assert classify.is_cfc((1, 2, 4, 3), 4, method).is_cfc
-    assert not classify.is_cfc((2, 1, 3, 2, 4), 4, method).is_cfc
-    verdict = classify.is_cfc((2, 1, 3, 2), 3, method)
+    is_cfc = CFC_ROUTES[method]
+    assert is_cfc((1, 2, 4, 3), 4).is_cfc
+    assert not is_cfc((2, 1, 3, 2, 4), 4).is_cfc
+    verdict = is_cfc((2, 1, 3, 2), 3)
     assert not verdict.is_cfc
     assert verdict.witness is not None
+    assert verdict.method == method
 
 
 def test_cfc_witness_payloads():
-    v = classify.is_cfc((2, 1, 3, 2), 3, "support_once")
+    v = support_once((2, 1, 3, 2), 3)
     assert v.witness["generator"] == 2
     p1, p2 = v.witness["positions"]
     assert ((2, 1, 3, 2)[p1], (2, 1, 3, 2)[p2]) == (2, 2)
 
-    v = classify.is_cfc((2, 1, 3, 2), 3, "definition")
+    v = definition((2, 1, 3, 2), 3)
     shifted = tuple(v.witness["word"])
     expression = tuple(v.witness["expression"])
     k = v.witness["shifts"]
@@ -89,27 +110,27 @@ def test_cfc_witness_payloads():
     assert rebuilt == shifted
     assert not words.is_reduced(shifted, 3) or not classify.is_fc(shifted, 3).is_fc
 
-    v = classify.is_cfc((2, 1, 3, 2), 3, "pattern_321_3412")
+    v = classify.is_cfc((2, 1, 3, 2), 3)
     assert v.witness["kind"] in ("321", "3412")
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4])
 def test_three_way_agreement(rank):
     for w in all_elements(rank):
-        fc = {m: classify.is_fc(w, rank, m).is_fc for m in classify.FC_METHODS}
+        fc = {m: route(w, rank).is_fc for m, route in FC_ROUTES.items()}
         assert len(set(fc.values())) == 1, (w, fc)
-        cfc = {m: classify.is_cfc(w, rank, m).is_cfc for m in classify.CFC_METHODS}
+        cfc = {m: route(w, rank).is_cfc for m, route in CFC_ROUTES.items()}
         assert len(set(cfc.values())) == 1, (w, cfc)
 
 
 def test_negative_verdicts_always_carry_witnesses():
     for rank in (2, 3):
         for w in all_elements(rank):
-            for m in classify.FC_METHODS:
-                v = classify.is_fc(w, rank, m)
+            for route in FC_ROUTES.values():
+                v = route(w, rank)
                 assert v.is_fc or v.witness is not None
-            for m in classify.CFC_METHODS:
-                v = classify.is_cfc(w, rank, m)
+            for route in CFC_ROUTES.values():
+                v = route(w, rank)
                 assert v.is_cfc or v.witness is not None
 
 

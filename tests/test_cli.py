@@ -1,4 +1,6 @@
 import json
+import pathlib
+import shlex
 
 from cfckit import serialize
 from cfckit.cli import run
@@ -138,6 +140,20 @@ def test_listings_build_text_only_when_asked(capsys, monkeypatch):
     assert len(calls) == len(out.splitlines()) == 89
 
 
+def test_text_listings_never_build_the_json_object(capsys, monkeypatch):
+    calls = []
+    original = serialize.class_table_to_obj
+    monkeypatch.setattr(
+        serialize, "class_table_to_obj", lambda *args: calls.append(args) or original(*args)
+    )
+    code, out, _ = invoke(capsys, "--format", "text", "classtable", "--rank", "4")
+    assert code == 0
+    assert out.startswith("ring sizes ")
+    assert calls == []
+    assert invoke(capsys, "classtable", "--rank", "4")[0] == 0
+    assert len(calls) == 1
+
+
 def test_max_rank_warning(capsys):
     code, out, err = invoke(
         capsys, "counts", "--kind", "cfc", "--rank", "3", "--max-rank", "12"
@@ -178,3 +194,15 @@ def test_word_above_rank_nine_is_comma_separated(capsys):
     code, out, _ = invoke(capsys, "conj", "--rank", "12", "--w", "12", "--y", "1")
     assert code == 0
     assert json.loads(out)["conjugate"] is True
+
+
+def test_readme_cli_lines_run(capsys, tmp_path):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("cfckit ")]
+    assert len(lines) == 8
+    for argv in lines:
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert invoke(capsys, *argv[1:])[0] == 0, argv

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from cfckit import perms, words
-from cfckit.errors import DegreeMismatch
+from cfckit.errors import DegreeMismatch, NotAPermutation
 
 from oracles import (
     cayley_lengths,
@@ -173,6 +173,14 @@ def test_word_from_permutation_round_trip_and_lex_minimality():
     for p in itertools.permutations(range(1, 5)):
         w = perms.word_from_permutation(p)
         assert w == min(words.reduced_expressions(w, 3))
+
+
+@pytest.mark.parametrize("line", [(2, 2, 1), (0, 1), (1, 3), (5,)])
+def test_word_from_permutation_rejects_a_non_permutation(line):
+    with pytest.raises(NotAPermutation) as info:
+        perms.word_from_permutation(line)
+    assert info.value.code == "not_a_permutation"
+    assert str(info.value) == f"{list(line)} is not a permutation of 1..{len(line)}"
 
 
 @pytest.mark.parametrize("degree", range(1, 9))

@@ -15,6 +15,14 @@ def test_parse_word_text_forms():
     assert serialize.parse_word_text("", 3) == ()
     with pytest.raises(InvalidGenerator):
         serialize.parse_word_text("1a2", 3)
+    # only ASCII digits, commas and e: int() would read these three
+    for text, rank in (("1_2", 12), ("1_0,2", 12), ("\u0661\u0662", 3)):
+        with pytest.raises(InvalidGenerator) as info:
+            serialize.parse_word_text(text, rank)
+        assert str(info.value) == f"cannot parse word {text!r}"
+    # other forms int() reads keep their parse
+    assert serialize.parse_word_text(" 1, 2 ", 3) == (1, 2)
+    assert serialize.parse_word_text("+1,2", 3) == (1, 2)
 
 
 def test_word_text_round_trip():

@@ -7,7 +7,14 @@ import pytest
 from cfckit import classify, heaps, perms, words
 from cfckit.errors import ClosureTooLarge, InvalidGenerator, NotReduced
 
-from oracles import cayley_lengths, commutation_class_by_walk, word_image
+from oracles import (
+    cayley_lengths,
+    commutation_class_by_walk,
+    definition,
+    single_commutation_class,
+    stembridge_scan,
+    word_image,
+)
 
 
 def test_m_value_table():
@@ -120,12 +127,9 @@ CLOSURE_WALKS = {
     "commutation_class": (lambda: words.commutation_class(WALKED, 5), 16),
     "commutation_classes": (lambda: words.commutation_classes(WALKED, 5), 16),
     "cyclic_orbit": (lambda: heaps.cyclic_orbit(WALKED, 5), 120),
-    "is_fc(stembridge_scan)": (lambda: classify.is_fc(WALKED, 5, "stembridge_scan"), 16),
-    "is_fc(single_commutation_class)": (
-        lambda: classify.is_fc(WALKED, 5, "single_commutation_class"),
-        16,
-    ),
-    "is_cfc(definition)": (lambda: classify.is_cfc(WALKED, 5, "definition"), 16),
+    "is_fc(stembridge_scan)": (lambda: stembridge_scan(WALKED, 5), 16),
+    "is_fc(single_commutation_class)": (lambda: single_commutation_class(WALKED, 5), 16),
+    "is_cfc(definition)": (lambda: definition(WALKED, 5), 16),
     "is_cyclically_reduced": (lambda: classify.is_cyclically_reduced(WALKED, 5), 16),
 }
 
