@@ -29,7 +29,6 @@ from .heaps import (
     chunks,
     cyclic_shift_heap,
     cylindrical_canonical,
-    forbidden_pattern_scan,
     heap_to_word,
     render,
 )

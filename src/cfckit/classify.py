@@ -125,23 +125,38 @@ def require_cfc(word, rank: int) -> Word:
     return word
 
 
+def support_runs(word) -> tuple[tuple[int, int], ...]:
+    """
+    (start, size) for each maximal run of consecutive generators in the
+    support of a word, by increasing start; letters may repeat.
+
+    >>> support_runs((2, 1, 3, 5, 2))
+    ((1, 3), (5, 1))
+    """
+    support = set(word)
+    runs = []
+    for lo in sorted(g for g in support if g - 1 not in support):
+        size = 1
+        while lo + size in support:
+            size += 1
+        runs.append((lo, size))
+    return tuple(runs)
+
+
 def chunk_layout(word: Word) -> tuple[tuple[int, int, tuple[bool, ...]], ...]:
     """
     The chunks of a validated CFC word's heap: (start, size, bits) for each
-    run of its sorted support, where bits[j] is True when generator start+j
+    run of its support, where bits[j] is True when generator start+j
     precedes start+j+1 in the word.
 
     >>> chunk_layout((2, 1, 3, 5))
     ((1, 3, (False, True)), (5, 1, ()))
     """
     pos = {g: i for i, g in enumerate(word)}
-    layout = []
-    for lo in sorted(g for g in pos if g - 1 not in pos):
-        size = 1
-        while lo + size in pos:
-            size += 1
-        layout.append((lo, size, tuple(pos[g] < pos[g + 1] for g in range(lo, lo + size - 1))))
-    return tuple(layout)
+    return tuple(
+        (lo, size, tuple(pos[g] < pos[g + 1] for g in range(lo, lo + size - 1)))
+        for lo, size in support_runs(word)
+    )
 
 
 def enumerate_fc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:

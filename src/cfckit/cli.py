@@ -108,8 +108,6 @@ def _dispatch(args) -> dict | str:
         word = serialize.parse_word_text(args.word, args.rank)
         fc = classify.is_fc(word, args.rank)
         cfc = classify.is_cfc(word, args.rank)
-        # walked in both formats, so a walk past the closure cap fails in both
-        cyclically_reduced = classify.is_cyclically_reduced(word, args.rank)
         if text:
             return (
                 f"word {serialize.format_word_text(word, args.rank)} (rank {args.rank}): "
@@ -120,7 +118,7 @@ def _dispatch(args) -> dict | str:
             "word": list(word),
             "is_fc": fc.is_fc,
             "is_cfc": cfc.is_cfc,
-            "is_cyclically_reduced": cyclically_reduced,
+            "is_cyclically_reduced": classify.is_cyclically_reduced(word, args.rank),
             "fc": serialize.fc_verdict_to_obj(fc),
             "cfc": serialize.cfc_verdict_to_obj(cfc),
         }

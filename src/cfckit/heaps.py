@@ -9,6 +9,12 @@ below it, an intrinsic quantity of the poset.  Cover edges are recovered
 from the lattice embedding: (x, y) covers (x', y') iff the columns are
 adjacent, y > y', and neither column holds a block strictly between.
 
+This module holds heap structure and drawing; it decides nothing that
+:mod:`classify` decides.  The chunks of a heap, the components of its Hasse
+diagram, are the runs of its support (``classify.support_runs``).  The
+forbidden-pattern scans that read FC and CFC off the stacked blocks, in a
+column and around the cylinder, are test oracles in ``tests/oracles.py``.
+
 The cylinder view identifies top and bottom: cyclic shifts move a maximal
 block to the floor, and the equivalence class of a CFC heap under shifts
 is summarized by its lex-least word over all shifts and commutations.  In
@@ -56,15 +62,6 @@ class Heap:
 
     def same_poset(self, other: "Heap") -> bool:
         return self.structure() == other.structure()
-
-    def columns(self) -> dict[int, list[Block]]:
-        """Blocks per column, bottom to top."""
-        cols: dict[int, list[Block]] = {}
-        for b in self.blocks:
-            cols.setdefault(b.gen, []).append(b)
-        for col in cols.values():
-            col.sort(key=lambda b: b.level)
-        return cols
 
     def maximal_blocks(self) -> tuple[Block, ...]:
         """The column tops that sit above both neighbouring column tops."""
@@ -124,58 +121,6 @@ def heap_to_word(heap: Heap) -> Word:
 
 
 @dataclass(frozen=True)
-class Violation:
-    kind: str  # "collapse" (no separator) or "braid" (exactly one)
-    column: int
-    block_ids: tuple[int, ...]
-
-
-def _gap_violation(column: int, upper: Block, lower: Block, separators: list[Block]) -> Violation | None:
-    if len(separators) > 1:
-        return None
-    kind = "collapse" if not separators else "braid"
-    ids = (upper.index, lower.index) + tuple(s.index for s in separators)
-    return Violation(kind, column, ids)
-
-
-def forbidden_pattern_scan(heap: Heap, mode: str = "fc") -> tuple[Violation, ...]:
-    """
-    Scan for the convex subheaps that witness failure of full commutativity.
-
-    In ``fc`` mode, a violation is a pair of consecutive same-column blocks
-    with at most one block of the adjacent columns between them.  In ``cfc``
-    mode the column is additionally read around the cylinder, so the gap
-    that wraps past the top is scanned as well.
-
-    >>> [v.kind for v in forbidden_pattern_scan(build_heap((3, 2, 1, 3), 3))]
-    ['braid']
-    >>> forbidden_pattern_scan(build_heap((1, 2, 3, 4), 4), mode="cfc")
-    ()
-    """
-    if mode not in ("fc", "cfc"):
-        raise ValueError(f"unknown scan mode {mode!r}")
-    cols = heap.columns()
-    out = []
-    for c in sorted(cols):
-        stack = cols[c]
-        if len(stack) < 2:
-            continue
-        neighbors = cols.get(c - 1, []) + cols.get(c + 1, [])
-        for lower, upper in zip(stack, stack[1:]):
-            seps = [b for b in neighbors if lower.level < b.level < upper.level]
-            v = _gap_violation(c, upper, lower, seps)
-            if v is not None:
-                out.append(v)
-        if mode == "cfc":
-            top, bottom = stack[-1], stack[0]
-            seps = [b for b in neighbors if b.level > top.level or b.level < bottom.level]
-            v = _gap_violation(c, top, bottom, seps)
-            if v is not None:
-                out.append(v)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
 class Chunk:
     block_ids: frozenset[int]
     start: int  # least generator
@@ -185,33 +130,19 @@ class Chunk:
 def chunks(heap: Heap) -> tuple[Chunk, ...]:
     """
     Maximal connected components of the Hasse diagram, ordered by least
-    generator.
+    generator.  Blocks in the same or adjacent columns are comparable, so
+    the chunks are the runs of the support, each holding every block in its
+    columns; the heap need not be reduced.
 
     >>> [(c.start, c.size) for c in chunks(build_heap((1, 2, 3, 5, 6), 6))]
     [(1, 3), (5, 2)]
     """
-    parent = list(range(len(heap.blocks)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in heap.blocks:
-        for b in heap.blocks:
-            if a.index < b.index and abs(a.gen - b.gen) <= 1:
-                parent[find(a.index)] = find(b.index)
-    groups: dict[int, list[Block]] = {}
+    runs = classify.support_runs(heap.word())
+    run_of = {g: k for k, (start, size) in enumerate(runs) for g in range(start, start + size)}
+    members = [[] for _ in runs]
     for b in heap.blocks:
-        groups.setdefault(find(b.index), []).append(b)
-    out = []
-    for members in groups.values():
-        gens = [b.gen for b in members]
-        out.append(
-            Chunk(frozenset(b.index for b in members), min(gens), max(gens) - min(gens) + 1)
-        )
-    return tuple(sorted(out, key=lambda c: c.start))
+        members[run_of[b.gen]].append(b.index)
+    return tuple(Chunk(frozenset(ids), start, size) for ids, (start, size) in zip(members, runs))
 
 
 def cyclic_shift_heap(heap: Heap, gen: int) -> Heap:

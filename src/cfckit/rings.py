@@ -185,6 +185,8 @@ def stst_rewrite(word, pos: int) -> Word:
     (4, 5)
     """
     word = tuple(word)
+    if not 0 <= pos < len(word):
+        raise PatternMismatch(f"position {pos} outside word of length {len(word)}")
     factor = word[pos : pos + 4]
     if len(factor) != 4:
         raise PatternMismatch(f"no 4-letter factor at position {pos}")

@@ -5,13 +5,15 @@ graph for lengths, itertools scans for patterns, full conjugation sweeps
 for conjugacy, sweeps of the whole symmetric group for FC enumeration
 and the conjecture check, the earlier listing kernels (linear
 extensions by a heap queue, the lift that rescans from generator 1, the
-breadth-first commutation walk), and the word-level FC / CFC routes that
-decide each verdict from its definition.  Expected values frozen into the
-tests were computed with these.
+breadth-first commutation walk), the word-level FC / CFC routes that
+decide each verdict from its definition, and the heap-level ones: the
+forbidden-pattern scan of the stacked blocks and the pairwise union-find
+of chunks.  Expected values frozen into the tests were computed with these.
 """
 
 import heapq
 from collections import deque
+from dataclasses import dataclass
 from itertools import combinations, permutations, product
 
 from cfckit import classify, conjecture, heaps, perms, tables, words
@@ -348,3 +350,87 @@ CFC_ROUTES = {
     "pattern_321_3412": classify.is_cfc,
     "support_once": support_once,
 }
+
+
+def columns(heap):
+    """Blocks per column, bottom to top."""
+    cols = {}
+    for b in heap.blocks:
+        cols.setdefault(b.gen, []).append(b)
+    for col in cols.values():
+        col.sort(key=lambda b: b.level)
+    return cols
+
+
+@dataclass(frozen=True)
+class Violation:
+    kind: str  # "collapse" (no separator) or "braid" (exactly one)
+    column: int
+    block_ids: tuple[int, ...]
+
+
+def _gap_violation(column, upper, lower, separators):
+    if len(separators) > 1:
+        return None
+    kind = "collapse" if not separators else "braid"
+    ids = (upper.index, lower.index) + tuple(s.index for s in separators)
+    return Violation(kind, column, ids)
+
+
+def forbidden_pattern_scan(heap, mode="fc"):
+    """
+    Scan for the convex subheaps that witness failure of full commutativity.
+
+    In ``fc`` mode, a violation is a pair of consecutive same-column blocks
+    with at most one block of the adjacent columns between them.  In ``cfc``
+    mode the column is additionally read around the cylinder, so the gap
+    that wraps past the top is scanned as well.
+    """
+    if mode not in ("fc", "cfc"):
+        raise ValueError(f"unknown scan mode {mode!r}")
+    cols = columns(heap)
+    out = []
+    for c in sorted(cols):
+        stack = cols[c]
+        if len(stack) < 2:
+            continue
+        neighbors = cols.get(c - 1, []) + cols.get(c + 1, [])
+        for lower, upper in zip(stack, stack[1:]):
+            seps = [b for b in neighbors if lower.level < b.level < upper.level]
+            v = _gap_violation(c, upper, lower, seps)
+            if v is not None:
+                out.append(v)
+        if mode == "cfc":
+            top, bottom = stack[-1], stack[0]
+            seps = [b for b in neighbors if b.level > top.level or b.level < bottom.level]
+            v = _gap_violation(c, top, bottom, seps)
+            if v is not None:
+                out.append(v)
+    return tuple(out)
+
+
+def chunks_by_union_find(heap):
+    """The connected components of a heap, by joining every pair of blocks
+    in the same or adjacent columns, ordered by least generator."""
+    parent = list(range(len(heap.blocks)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for a in heap.blocks:
+        for b in heap.blocks:
+            if a.index < b.index and abs(a.gen - b.gen) <= 1:
+                parent[find(a.index)] = find(b.index)
+    groups = {}
+    for b in heap.blocks:
+        groups.setdefault(find(b.index), []).append(b)
+    out = []
+    for members in groups.values():
+        gens = [b.gen for b in members]
+        out.append(
+            heaps.Chunk(frozenset(b.index for b in members), min(gens), max(gens) - min(gens) + 1)
+        )
+    return tuple(sorted(out, key=lambda c: c.start))

@@ -7,7 +7,7 @@ from contextlib import contextmanager
 
 from cfckit import classify, conjecture, heaps, perms, rings, serialize, tables, words
 
-from oracles import CFC_ROUTES, FC_ROUTES, conjugacy_orbit
+from oracles import CFC_ROUTES, FC_ROUTES, conjugacy_orbit, forbidden_pattern_scan
 
 
 @contextmanager
@@ -131,12 +131,12 @@ def test_criterion_7_structural_properties():
                 assert heaps.heap_to_word(base) in cls
                 for u in cls:
                     assert heaps.build_heap(u, rank).same_poset(base)
-                scan = heaps.forbidden_pattern_scan(base, mode="cfc")
+                scan = forbidden_pattern_scan(base, mode="cfc")
                 assert (len(scan) == 0) == classify.is_cfc(w, rank).is_cfc
         for rank in range(1, 5):
             for p in itertools.permutations(range(1, rank + 2)):
                 w = perms.word_from_permutation(p)
-                scan = heaps.forbidden_pattern_scan(heaps.build_heap(w, rank), mode="fc")
+                scan = forbidden_pattern_scan(heaps.build_heap(w, rank), mode="fc")
                 assert (len(scan) == 0) == classify.is_fc(w, rank).is_fc
 
 

@@ -100,6 +100,17 @@ def test_words_holds_the_only_closure_walk():
         assert ("deque" in imported) == owner, path.name
 
 
+def test_no_function_takes_a_route_knob():
+    # each answer has one route in the package; alternative routes are test
+    # oracles, so no parameter may select between routes
+    for path in sorted((ROOT / "src" / "cfckit").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+                assert not names & {"mode", "method"}, (path.name, getattr(node, "name", "lambda"))
+
+
 def test_no_module_sweeps_the_symmetric_group():
     # enumerations generate their elements; full sweeps live in tests/oracles.py
     for path in sorted((ROOT / "src" / "cfckit").glob("*.py")):

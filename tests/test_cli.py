@@ -2,7 +2,7 @@ import json
 import pathlib
 import shlex
 
-from cfckit import serialize
+from cfckit import classify, serialize
 from cfckit.cli import run
 
 
@@ -185,6 +185,19 @@ def test_classify_past_the_closure_cap_is_a_domain_error(capsys, monkeypatch):
     assert code == 1
     assert json.loads(out)["code"] == "closure_too_large"
     assert "is_cyclically_reduced" in err
+
+
+def test_text_classify_skips_the_cyclic_walk(capsys, monkeypatch):
+    monkeypatch.setenv("CFC_MAX_CLOSURE", "5")
+    calls = []
+    original = classify.is_cyclically_reduced
+    monkeypatch.setattr(
+        classify, "is_cyclically_reduced", lambda *args: calls.append(args) or original(*args)
+    )
+    code, out, _ = invoke(capsys, "--format", "text", "classify", "--rank", "5", "--word", "13524")
+    assert code == 0
+    assert out == "word 13524 (rank 5): FC=True CFC=True\n"
+    assert calls == []
 
 
 def test_word_above_rank_nine_is_comma_separated(capsys):

@@ -5,7 +5,12 @@ import pytest
 from cfckit import classify, heaps, perms, words
 from cfckit.errors import ClosureTooLarge, NotCFC, NotMaximalBlock, NotReduced
 
-from oracles import heap_covers_by_scan, maximal_blocks_by_scan
+from oracles import (
+    chunks_by_union_find,
+    forbidden_pattern_scan,
+    heap_covers_by_scan,
+    maximal_blocks_by_scan,
+)
 
 
 def test_build_heap_fig_structure():
@@ -74,31 +79,31 @@ def test_heaps_well_defined_across_commutation_classes():
 
 
 def test_forbidden_pattern_scan_examples():
-    scan = heaps.forbidden_pattern_scan(heaps.build_heap((3, 2, 1, 3), 3), mode="fc")
+    scan = forbidden_pattern_scan(heaps.build_heap((3, 2, 1, 3), 3), mode="fc")
     assert len(scan) == 1 and scan[0].kind == "braid" and scan[0].column == 3
 
     h = heaps.build_heap((2, 1, 3, 2), 3)
-    assert heaps.forbidden_pattern_scan(h, mode="fc") == ()
-    scan = heaps.forbidden_pattern_scan(h, mode="cfc")
+    assert forbidden_pattern_scan(h, mode="fc") == ()
+    scan = forbidden_pattern_scan(h, mode="cfc")
     assert len(scan) == 1 and scan[0].kind == "collapse" and scan[0].column == 2
 
     h = heaps.build_heap((1, 2, 3, 4), 4)
-    assert heaps.forbidden_pattern_scan(h, mode="fc") == ()
-    assert heaps.forbidden_pattern_scan(h, mode="cfc") == ()
+    assert forbidden_pattern_scan(h, mode="fc") == ()
+    assert forbidden_pattern_scan(h, mode="cfc") == ()
 
 
 def test_fc_scan_matches_classifier():
     for rank in range(1, 5):
         for p in itertools.permutations(range(1, rank + 2)):
             w = perms.word_from_permutation(p)
-            scan = heaps.forbidden_pattern_scan(heaps.build_heap(w, rank), mode="fc")
+            scan = forbidden_pattern_scan(heaps.build_heap(w, rank), mode="fc")
             assert (len(scan) == 0) == classify.is_fc(w, rank).is_fc, (rank, w)
 
 
 def test_cfc_scan_matches_classifier_on_fc_elements():
     for rank in range(1, 6):
         for w in classify.enumerate_fc(rank):
-            scan = heaps.forbidden_pattern_scan(heaps.build_heap(w, rank), mode="cfc")
+            scan = forbidden_pattern_scan(heaps.build_heap(w, rank), mode="cfc")
             assert (len(scan) == 0) == classify.is_cfc(w, rank).is_cfc, (rank, w)
 
 
@@ -108,7 +113,7 @@ def test_cyclic_shift_heap_examples():
 
     shifted = heaps.cyclic_shift_heap(heaps.build_heap((2, 1, 3, 2), 3), 2)
     assert any(
-        v.kind == "collapse" for v in heaps.forbidden_pattern_scan(shifted, mode="cfc")
+        v.kind == "collapse" for v in forbidden_pattern_scan(shifted, mode="cfc")
     )
 
     assert heaps.cyclic_shift_heap(heaps.build_heap((1,), 2), 1).same_poset(
@@ -139,6 +144,14 @@ def test_chunks_examples():
     got = heaps.chunks(heaps.build_heap((1, 2, 3, 4), 4))
     assert [(c.start, c.size) for c in got] == [(1, 4)]
     assert heaps.chunks(heaps.build_heap((), 3)) == ()
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_chunks_match_union_find(rank):
+    # _heap_words holds the empty word and words that are not reduced
+    for word in _heap_words(rank):
+        h = heaps._assemble(word, rank)
+        assert heaps.chunks(h) == chunks_by_union_find(h), word
 
 
 def test_chunk_bookkeeping_on_cfc_elements():
@@ -178,7 +191,8 @@ def test_cylindrical_canonical_matches_orbit_walk():
                 orbit = heaps.cyclic_orbit(w, rank)
                 orbit_min.update(dict.fromkeys(orbit, min(orbit)))
             least = orbit_min[w]
-            profile = tuple((c.start, c.size) for c in heaps.chunks(heaps.build_heap(least, rank)))
+            heap = heaps.build_heap(least, rank)
+            profile = tuple((c.start, c.size) for c in chunks_by_union_find(heap))
             assert heaps.cylindrical_canonical(w, rank) == heaps.CylindricalHeap(least, profile)
 
 

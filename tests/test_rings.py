@@ -8,7 +8,7 @@ from cfckit import classify, heaps, perms, rings
 from cfckit.errors import ChunkAtBoundary, NotCFC, OutOfRange, PatternMismatch
 from cfckit.rings import Ring
 
-from oracles import conjugacy_orbit, diagonalize_steps_bfs
+from oracles import chunks_by_union_find, conjugacy_orbit, diagonalize_steps_bfs
 
 
 def test_rings_of_examples():
@@ -22,7 +22,8 @@ def test_rings_of_matches_heap_chunks():
     for rank in range(1, 8):
         for w in classify.enumerate_cfc(rank):
             literal = tuple(
-                Ring(c.start, len(c.block_ids)) for c in heaps.chunks(heaps.build_heap(w, rank))
+                Ring(c.start, len(c.block_ids))
+                for c in chunks_by_union_find(heaps.build_heap(w, rank))
             )
             assert rings.rings_of(w, rank) == literal, (rank, w)
 
@@ -112,6 +113,10 @@ def test_stst_rewrite_examples():
         rings.stst_rewrite((1, 3, 1, 3), 0)
     with pytest.raises(PatternMismatch):
         rings.stst_rewrite((1, 2, 1), 0)
+    word = (5, 1, 2, 1, 2, 3)
+    for pos in (-5, -1, len(word)):
+        with pytest.raises(PatternMismatch, match=f"position {pos} outside word of length 6"):
+            rings.stst_rewrite(word, pos)
 
 
 @given(
