@@ -117,7 +117,8 @@ def _check_enum_rank(rank: int, max_rank: int) -> None:
 
 
 def require_cfc(word, rank: int) -> Word:
-    """Validate a CFC word once, at an API boundary, by the default route."""
+    """Validate a CFC word once, at an API boundary: reduced, and its image
+    avoiding 321 and 3412 (:func:`is_cfc`)."""
     word = tuple(word)
     verdict = is_cfc(word, rank)
     if not verdict.is_cfc:
@@ -141,6 +142,20 @@ def support_runs(word) -> tuple[tuple[int, int], ...]:
             size += 1
         runs.append((lo, size))
     return tuple(runs)
+
+
+def class_key(word: Word) -> tuple[tuple[int, ...], Word]:
+    """
+    The classes of a validated CFC word, read off its support runs: the
+    ring sizes, largest first, fix its conjugacy class, and the sorted
+    support, the canonical word of its cylinder, fixes its cyclic class.
+
+    >>> class_key((2, 1, 3, 5))
+    ((3, 1), (1, 2, 3, 5))
+    """
+    runs = support_runs(word)
+    sizes = tuple(sorted((size for _, size in runs), reverse=True))
+    return sizes, tuple(g for start, size in runs for g in range(start, start + size))
 
 
 def chunk_layout(word: Word) -> tuple[tuple[int, int, tuple[bool, ...]], ...]:

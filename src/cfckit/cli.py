@@ -8,6 +8,7 @@ carrying a stable ``code``; usage errors exit 2.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -28,7 +29,10 @@ def _add_rank(parser, max_rank=False):
         parser.add_argument("--max-rank", type=_positive_int, default=None)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and kept: parsing leaves no
+    state in it."""
     parser = argparse.ArgumentParser(prog="cfckit")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -184,9 +188,8 @@ def _dispatch(args) -> dict | str:
 
 
 def run(argv) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -189,8 +189,7 @@ def cylindrical_canonical(word, rank: int) -> CylindricalHeap:
     (1, 2, 3)
     """
     word = classify.require_cfc(word, rank)
-    profile = tuple((start, size) for start, size, _ in classify.chunk_layout(word))
-    return CylindricalHeap(tuple(sorted(word)), profile)
+    return CylindricalHeap(classify.class_key(word)[1], classify.support_runs(word))
 
 
 def render(heap: Heap, fmt: str = "ascii") -> str:

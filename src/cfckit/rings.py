@@ -50,7 +50,7 @@ def rings_of(word, rank: int) -> tuple[Ring, ...]:
     (Ring(start=1, size=1),)
     """
     word = classify.require_cfc(word, rank)
-    return tuple(Ring(start, size) for start, size, _ in classify.chunk_layout(word))
+    return tuple(Ring(start, size) for start, size in classify.support_runs(word))
 
 
 def slide_equivalent(w, y, rank: int) -> bool:
@@ -77,9 +77,9 @@ def ring_equivalent(w, y, rank: int) -> bool:
     >>> ring_equivalent((1, 2), (1, 3), 3)
     False
     """
-    sizes_w = sorted(r.size for r in rings_of(w, rank))
-    sizes_y = sorted(r.size for r in rings_of(y, rank))
-    return sizes_w == sizes_y
+    w = classify.require_cfc(w, rank)
+    y = classify.require_cfc(y, rank)
+    return classify.class_key(w)[0] == classify.class_key(y)[0]
 
 
 def is_conjugate_cfc(w, y, rank: int) -> bool:
@@ -220,11 +220,12 @@ def _diagonalize_steps(start: int, bits: tuple[bool, ...]) -> list[int]:
     return steps
 
 
-def _normalize(layout) -> list[int]:
-    """The letters of X^-1, where conjugation by X takes the element with
-    this chunk layout to the simple element with the same ring sizes
-    sorted descending, packed left.  Each step prepends a piece to X, so
-    it appends the reversed piece to X^-1."""
+def _normalize(word: Word) -> list[int]:
+    """The letters of X^-1, where conjugation by X takes the validated CFC
+    word to the simple element with the same ring sizes sorted descending,
+    packed left.  Each step prepends a piece to X, so it appends the
+    reversed piece to X^-1."""
+    layout = classify.chunk_layout(word)
     inverse: list[int] = []
     for start, _, bits in layout:
         inverse.extend(_diagonalize_steps(start, bits))
@@ -266,12 +267,10 @@ def conjugacy_witness(w, y, rank: int) -> ConjugacyCertificate | None:
     """
     w = classify.require_cfc(w, rank)
     y = classify.require_cfc(y, rank)
-    layout_w = classify.chunk_layout(w)
-    layout_y = classify.chunk_layout(y)
-    if sorted(size for _, size, _ in layout_w) != sorted(size for _, size, _ in layout_y):
+    if classify.class_key(w)[0] != classify.class_key(y)[0]:
         return None
     # X_y^-1 X_w carries w to the common simple form and on to y
-    conjugator = tuple(_normalize(layout_y)) + tuple(reversed(_normalize(layout_w)))
+    conjugator = tuple(_normalize(y)) + tuple(reversed(_normalize(w)))
     p_w = perms.to_permutation(w, rank)
     p_y = perms.to_permutation(y, rank)
     p_x = perms.to_permutation(conjugator, rank)

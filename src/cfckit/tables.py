@@ -2,16 +2,18 @@
 commutation class.
 
 The leaves of a table partition every reduced expression of every CFC
-element of the rank.  All grouping is computed: conjugacy via ring sizes,
-cyclic classes via the cylindrical canonical form, and the expression lists
-via commutation closures.
+element of the rank.  The elements come from ``classify.enumerate_cfc``,
+so they are CFC by construction and none is checked again.  Each is grouped
+by its class key (``classify.class_key``): the ring sizes fix the conjugacy
+class, and the sorted support the cyclic class.  Each leaf lists the linear
+extensions of the element's heap, which are its reduced expressions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import classify, heaps, words
+from . import classify, words
 
 Word = tuple[int, ...]
 
@@ -50,16 +52,15 @@ def class_table(rank: int, max_rank: int = classify.ENUM_RANK_CAP) -> ClassTable
     """
     by_conjugacy: dict[tuple[int, ...], dict[Word, list[Word]]] = {}
     for element in classify.enumerate_cfc(rank, max_rank=max_rank):
-        cylinder = heaps.cylindrical_canonical(element, rank)
-        sizes = tuple(sorted((size for _, size in cylinder.ring_profile), reverse=True))
-        by_conjugacy.setdefault(sizes, {}).setdefault(cylinder.canonical_word, []).append(element)
+        sizes, canonical = classify.class_key(element)
+        by_conjugacy.setdefault(sizes, {}).setdefault(canonical, []).append(element)
     groups = []
     for sizes, cyclic_map in by_conjugacy.items():
         cyclic_groups = []
         for canonical in sorted(cyclic_map):
             members = sorted(cyclic_map[canonical])
             expression_lists = tuple(
-                tuple(sorted(words.commutation_class(m, rank))) for m in members
+                tuple(sorted(words.linear_extensions(m, "commutation_class"))) for m in members
             )
             cyclic_groups.append(CyclicClassGroup(canonical, expression_lists))
         groups.append(ConjugacyClassGroup(sizes, tuple(cyclic_groups)))

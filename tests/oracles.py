@@ -233,14 +233,21 @@ def commutation_class_by_walk(word):
 
 
 def class_table_by_oracles(rank):
-    """The class table with its elements listed by orientation and its
-    leaves by the commutation walk; the grouping follows tables.class_table."""
+    """The class table with its elements listed by orientation, its leaves
+    by the commutation walk, each cyclic class named by the lex-least word
+    of the literal orbit walk and each conjugacy class by the sizes of the
+    union-find chunks.  Each orbit is walked once and names every element
+    found in it; nothing assumes that the support fixes the orbit."""
     elements = sorted(cfc_words_by_orientation(rank), key=lambda w: (len(w), w))
+    orbit_name = {}
     by_conjugacy = {}
     for element in elements:
-        cylinder = heaps.cylindrical_canonical(element, rank)
-        sizes = tuple(sorted((size for _, size in cylinder.ring_profile), reverse=True))
-        by_conjugacy.setdefault(sizes, {}).setdefault(cylinder.canonical_word, []).append(element)
+        if element not in orbit_name:
+            orbit = heaps.cyclic_orbit(element, rank)
+            orbit_name.update(dict.fromkeys(orbit, min(orbit)))
+        heap = heaps.build_heap(element, rank)
+        sizes = tuple(sorted((c.size for c in chunks_by_union_find(heap)), reverse=True))
+        by_conjugacy.setdefault(sizes, {}).setdefault(orbit_name[element], []).append(element)
     groups = [
         tables.ConjugacyClassGroup(
             sizes,

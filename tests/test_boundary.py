@@ -10,13 +10,15 @@ from collections import Counter
 import pytest
 
 import cfckit
-from cfckit import classify, cli, conjecture, perms, rings, words
+from cfckit import classify, cli, conjecture, perms, rings, tables, words
 
 from oracles import definition, single_commutation_class, stembridge_scan
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
 COUNTED = (
+    (classify, "require_cfc"),
+    (words, "require_reduced"),
     (words, "check_word"),
     (perms, "to_permutation"),
     (perms, "word_from_permutation"),
@@ -50,6 +52,13 @@ def test_classify_command_never_rechecks_letters(calls):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.run(["classify", "--rank", "5", "--word", "31245"]) == 0
     assert calls["check_word"] == 0
+
+
+def test_class_table_trusts_the_elements_it_generates(calls):
+    # enumerate_cfc builds CFC words, so grouping them and listing their
+    # reduced expressions checks none of them again
+    assert tables.class_table(5).element_count() == 89
+    assert calls["require_cfc"] == calls["require_reduced"] == calls["to_permutation"] == 0
 
 
 def test_conjecture_sweep_stays_on_permutations(calls):

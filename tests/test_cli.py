@@ -2,7 +2,7 @@ import json
 import pathlib
 import shlex
 
-from cfckit import classify, serialize
+from cfckit import classify, cli, serialize
 from cfckit.cli import run
 
 
@@ -116,6 +116,16 @@ def test_usage_error_exits_two(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "nonsense")
     assert code == 2
+
+
+def test_usage_error_leaves_the_parser_as_it_was(capsys):
+    good = ("classify", "--rank", "5", "--word", "21324")
+    before = invoke(capsys, *good)
+    assert invoke(capsys, "classify", "--rank", "5", "--word")[0] == 2
+    after = invoke(capsys, *good)
+    assert before[:2] == after[:2] and before[0] == 0
+    # the parser is built once per process
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_non_positive_max_rank_is_a_usage_error(capsys):

@@ -335,6 +335,18 @@ def test_report_loader_rejects_a_huge_rank_quickly(rank):
     assert time.perf_counter() - start < 0.1
 
 
+@pytest.mark.parametrize("rank", [10**6, 10**9])
+def test_table_loader_cost_follows_the_leaves_not_the_rank(rank):
+    # a leaf is checked in the degree of its largest letter
+    leaf = {"canonical_word": [1], "commutation_classes": [[[1]]]}
+    obj = {"rank": rank, "conjugacy_classes": [{"ring_size_multiset": [1], "cyclic_classes": [leaf]}]}
+    start = time.perf_counter()
+    table = serialize.class_table_from_obj(obj)
+    assert time.perf_counter() - start < 0.1
+    cyclic = tables.CyclicClassGroup((1,), (((1,),),))
+    assert table == tables.ClassTable(rank, (tables.ConjugacyClassGroup((1,), (cyclic,)),))
+
+
 def test_error_objects_have_stable_codes():
     from cfckit.errors import NotCFC, NotReduced
 
