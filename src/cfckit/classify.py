@@ -14,9 +14,13 @@ word-level routes (braid-factor scans, commutation-class counting, the
 cyclic definition, a repeated letter) live in ``tests/oracles.py``, and the
 tests pin the verdicts here to them.
 
-A CFC element uses each support generator once, so its canonical word is
-its support cut after each g that precedes g+1, each piece decreasing:
-b, b-1, ..., a over increasing, disjoint intervals [a, b], which for the
+The canonical word of an element is its lexicographically least reduced
+word.  For an FC element it is a product of decreasing runs b, b-1, ..., a
+whose starts b and ends a both strictly increase from run to run
+(Billey-Jockusch-Stanley), so :func:`enumerate_fc` writes the words down
+directly.  A CFC element uses each support generator once, so its runs are
+disjoint: its support cut after each g that precedes g+1, each piece
+decreasing, over increasing, disjoint intervals [a, b], which for the
 Coxeter elements cover 1..rank:
 
 >>> sorted(enumerate_coxeter(3))
@@ -25,6 +29,7 @@ Coxeter elements cover 1..rank:
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import perms, words
@@ -174,17 +179,31 @@ def chunk_layout(word: Word) -> tuple[tuple[int, int, tuple[bool, ...]], ...]:
     )
 
 
+def _fc_words(rank: int) -> Iterator[Word]:
+    """The FC canonical words over 1..rank, depth-first: each word grows by
+    a run b, b-1, ..., a whose a and b exceed the last run's."""
+    runs = {(a, b): tuple(range(b, a - 1, -1)) for b in range(1, rank + 1) for a in range(1, b + 1)}
+    stack = [((), 0, 0)]  # (word, start and end of its last run)
+    while stack:
+        word, last_a, last_b = stack.pop()
+        yield word
+        stack.extend(
+            (word + runs[a, b], a, b)
+            for b in range(last_b + 1, rank + 1)
+            for a in range(last_a + 1, b + 1)
+        )
+
+
 def enumerate_fc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
     """
-    Canonical words of all FC elements: the 321-avoiding permutations of
-    degree rank+1, generated directly (Catalan(rank+1) of them, never the
-    (rank+1)! others) and lifted back to words.
+    Canonical words of all FC elements, Catalan(rank+1) of them, written
+    down as decreasing runs (see the module docstring).
 
-    >>> sorted(enumerate_fc(1))
-    [(), (1,)]
+    >>> sorted(enumerate_fc(2))
+    [(), (1,), (1, 2), (2,), (2, 1)]
     """
     _check_enum_rank(rank, max_rank)
-    return frozenset(perms.word_from_permutation(p) for p in perms.iter_321_avoiding(rank + 1))
+    return frozenset(_fc_words(rank))
 
 
 def _interval_words(rank: int, cover: bool) -> frozenset[Word]:

@@ -11,10 +11,10 @@ at most one direction change iff the element is CFC) is open; the checker
 reports disagreements as data, never as failure.
 
 The checker settles every permutation of the degree while visiting only
-the ones that can disagree.  A CFC permutation avoids 321, and the
-predicate's permutations are built directly by
-:func:`iter_predicate_permutations`; a permutation in neither set contains
-321, so it is not CFC and fails the predicate, and the two verdicts agree
+the ones that can disagree: the CFC permutations, built directly by
+:func:`perms.iter_cfc_permutations`, and the predicate's permutations,
+built directly by :func:`iter_predicate_permutations`.  A permutation in
+neither set is not CFC and fails the predicate, so the two verdicts agree
 without being computed.
 """
 
@@ -134,10 +134,12 @@ def check_conjecture(rank: int, max_rank: int = CONJECTURE_RANK_CAP) -> Conjectu
     Compare the cycle predicate with the 321/3412 pattern test on every
     permutation of degree rank+1; only counterexamples get words.
 
-    Two lazy passes visit the permutations that can disagree: every
-    321-avoider, then every permutation built by
-    :func:`iter_predicate_permutations` that contains 321.  Any other
-    permutation contains 321 and fails the predicate, so it agrees; it is
+    Two lazy passes visit the permutations that can disagree.  The first
+    runs the predicate on every CFC permutation, which is CFC by
+    construction.  The second runs the pattern test on every permutation
+    built by :func:`iter_predicate_permutations` and keeps those that are
+    not CFC; the CFC ones were settled in the first pass.  Any other
+    permutation is not CFC and fails the predicate, so it agrees; it is
     accounted for without a visit, and ``elements_checked`` stays (rank+1)!.
 
     >>> check_conjecture(2).agree
@@ -145,19 +147,21 @@ def check_conjecture(rank: int, max_rank: int = CONJECTURE_RANK_CAP) -> Conjectu
     """
     classify._check_enum_rank(rank, max_rank)
     degree = rank + 1
-    candidates = itertools.chain(
-        perms.iter_321_avoiding(degree),
-        (p for p in iter_predicate_permutations(degree) if perms.find_321(p) is not None),
-    )
-    counterexamples = []
-    for p in candidates:
-        predicted = conjecture_predicate(p)
-        actual = classify.cfc_pattern(p) is None
-        if predicted != actual:
-            counterexamples.append((perms.word_from_permutation(p), p, predicted, actual))
+    counterexamples = [
+        (p, False, True) for p in perms.iter_cfc_permutations(degree) if not conjecture_predicate(p)
+    ]
+    counterexamples += [
+        (p, True, False)
+        for p in iter_predicate_permutations(degree)
+        if classify.cfc_pattern(p) is not None
+    ]
+    counterexamples.sort()
     return ConjectureReport(
         rank=rank,
         elements_checked=math.factorial(degree),
         agree=not counterexamples,
-        counterexamples=tuple(sorted(counterexamples, key=lambda c: c[1])),
+        counterexamples=tuple(
+            (perms.word_from_permutation(p), p, predicted, actual)
+            for p, predicted, actual in counterexamples
+        ),
     )

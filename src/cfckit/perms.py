@@ -177,19 +177,25 @@ def contains_321(p: Perm) -> bool:
     return find_321(p) is not None
 
 
-def iter_321_avoiding(degree: int) -> Iterator[Perm]:
+def iter_cfc_permutations(degree: int) -> Iterator[Perm]:
     """
-    Every 321-avoiding permutation of 1..degree (degree >= 1), each once, in
-    lexicographic order: Catalan(degree) of them, built depth-first.
+    Every permutation of 1..degree (degree >= 1) that avoids 321 and 3412,
+    the CFC permutations, each once, in lexicographic order:
+    F(2*degree-1) of them, built depth-first.
 
     An entry that is not a left-to-right maximum must be the smallest value
     not yet placed, or a larger entry before it and a smaller one after it
     would form a 321; conversely a line built only from such entries and
     new maxima avoids 321.  So each position takes the smallest unplaced
-    value or any value above the prefix maximum, and every prefix completes.
+    value or any value above the prefix maximum.  A new maximum ends no
+    3412, so only the smallest unplaced value can; a prefix where it would
+    is dropped, since that value comes after the prefix in every
+    completion.  Some kept prefixes still complete to no line.
 
-    >>> list(iter_321_avoiding(3))
+    >>> list(iter_cfc_permutations(3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
+    >>> sum(1 for _ in iter_cfc_permutations(4))
+    13
     """
     line: list[int] = []
     placed = [False] * (degree + 2)
@@ -213,8 +219,29 @@ def iter_321_avoiding(degree: int) -> Iterator[Perm]:
         while placed[low]:
             low += 1
         above = range(top + 1, degree + 1)
-        choices = [low, *above] if low < top else above
+        if low > top:
+            choices = above
+        elif _closes_3412(line, low):
+            choices = ()
+        else:
+            choices = [low, *above]
         frames.append((iter(choices), top, low))
+
+
+def _closes_3412(line, v: int) -> bool:
+    """True iff appending v to line ends a 3412: entries a < b above v,
+    in that order, followed by an entry below v."""
+    least = float("inf")  # the least entry above v so far
+    pair = False  # an entry above v has a larger one after it
+    for x in line:
+        if x < v:
+            if pair:
+                return True
+        elif x > least:
+            pair = True
+        else:
+            least = x
+    return False
 
 
 def find_3412(p: Perm):

@@ -280,6 +280,7 @@ def class_table_from_obj(obj: dict) -> tables.ClassTable:
     """Load a class table after checking each element it lists: a CFC word
     whose commutation class is its leaf list, whose sorted support is the
     canonical word above it and whose chunk sizes are the group's ring sizes.
+    Every class must list an element, and no element may be listed twice.
     As for certificates, a leaf is checked in the degree of its largest
     letter, so the cost follows the data, not the declared rank."""
     rank = _typed(obj["rank"], int)
@@ -296,10 +297,18 @@ def class_table_from_obj(obj: dict) -> tables.ClassTable:
             for cyc in group["cyclic_classes"]
         )
         groups.append(tables.ConjugacyClassGroup(_ints(group["ring_size_multiset"]), cyclic))
+    listed = set()  # the first word of each leaf, which names its element
     for group in groups:
+        if not group.cyclic_classes:
+            raise InvalidObject(f"ring sizes {list(group.ring_sizes)} list no cyclic class")
         for cyc in group.cyclic_classes:
+            if not cyc.commutation_classes:
+                raise InvalidObject(f"the cyclic class of {list(cyc.canonical_word)} lists no element")
             for expressions in cyc.commutation_classes:
                 _check_leaf(expressions, cyc.canonical_word, group.ring_sizes)
+                if expressions[0] in listed:
+                    raise InvalidObject(f"{list(expressions[0])} is listed twice")
+                listed.add(expressions[0])
     return tables.ClassTable(rank, tuple(groups))
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: breadth-first search in the Cayley
 graph for lengths, itertools scans for patterns, full conjugation sweeps
 for conjugacy, sweeps of the whole symmetric group for FC enumeration
-and the conjecture check, the earlier listing kernels (linear
+and the conjecture check, the plain 321-avoider search (every
+321-avoider, lifted to its word), the earlier listing kernels (linear
 extensions by a heap queue, the lift that rescans from generator 1, the
 breadth-first commutation walk), the word-level FC / CFC routes that
 decide each verdict from its definition, and the heap-level ones: the
@@ -133,6 +134,48 @@ def fc_words_by_sweep(rank):
         for p in permutations(range(1, rank + 2))
         if perms.find_321(p) is None
     )
+
+
+def iter_321_avoiding(degree):
+    """
+    Every 321-avoiding permutation of 1..degree (degree >= 1), each once, in
+    lexicographic order: Catalan(degree) of them, built depth-first.
+
+    An entry that is not a left-to-right maximum must be the smallest value
+    not yet placed, or a larger entry before it and a smaller one after it
+    would form a 321; conversely a line built only from such entries and
+    new maxima avoids 321.  So each position takes the smallest unplaced
+    value or any value above the prefix maximum, and every prefix completes.
+    """
+    line = []
+    placed = [False] * (degree + 2)
+    # one frame per open position: its remaining choices, and the prefix
+    # maximum and smallest unplaced value before it
+    frames = [(iter(range(1, degree + 1)), 0, 1)]
+    while frames:
+        choices, top, low = frames[-1]
+        if len(line) == len(frames):
+            placed[line.pop()] = False
+        v = next(choices, None)
+        if v is None:
+            frames.pop()
+            continue
+        line.append(v)
+        placed[v] = True
+        if len(line) == degree:
+            yield tuple(line)
+            continue
+        top = max(top, v)
+        while placed[low]:
+            low += 1
+        above = range(top + 1, degree + 1)
+        choices = [low, *above] if low < top else above
+        frames.append((iter(choices), top, low))
+
+
+def fc_words_by_321_avoiders(rank):
+    """Canonical words of the FC elements, by lifting every 321-avoider."""
+    return frozenset(perms.word_from_permutation(p) for p in iter_321_avoiding(rank + 1))
 
 
 def conjecture_report_by_sweep(rank):

@@ -25,10 +25,9 @@ COUNTED = (
 )
 
 
-@pytest.fixture
-def calls(monkeypatch):
+def _count(monkeypatch, counted_names):
     counts = Counter()
-    for module, name in COUNTED:
+    for module, name in counted_names:
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -37,6 +36,11 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     return counts
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    return _count(monkeypatch, COUNTED)
 
 
 def test_witness_checks_each_input_once(calls):
@@ -64,6 +68,21 @@ def test_class_table_trusts_the_elements_it_generates(calls):
 def test_conjecture_sweep_stays_on_permutations(calls):
     assert conjecture.check_conjecture(3).agree
     assert calls == Counter()
+
+
+def test_enumerate_fc_writes_words_without_permutations(monkeypatch):
+    counts = _count(monkeypatch, [(perms, "to_permutation"), (perms, "word_from_permutation")])
+    assert len(classify.enumerate_fc(8)) == 4862
+    assert counts == Counter()
+
+
+@pytest.mark.parametrize("rank, fibonacci", [(3, 13), (4, 34), (5, 89), (6, 233), (7, 610)])
+def test_conjecture_check_scans_only_the_predicate_permutations(monkeypatch, rank, fibonacci):
+    # the CFC permutations are CFC by construction; each of the F(2*rank+1)
+    # predicate permutations gets one 321 scan and, avoiding 321, one 3412 scan
+    counts = _count(monkeypatch, [(perms, "find_321"), (perms, "find_3412")])
+    assert conjecture.check_conjecture(rank).agree
+    assert counts == Counter(find_321=fibonacci, find_3412=fibonacci)
 
 
 @pytest.mark.parametrize(

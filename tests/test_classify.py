@@ -12,6 +12,7 @@ from oracles import (
     cfc_words_by_orientation,
     coxeter_words_by_orientation,
     definition,
+    fc_words_by_321_avoiders,
     fc_words_by_sweep,
     single_commutation_class,
     stembridge_scan,
@@ -142,6 +143,17 @@ def test_enumerate_fc_counts_and_small_sets():
 @pytest.mark.parametrize("rank", range(1, 9))
 def test_enumerate_fc_matches_the_full_sweep(rank):
     assert classify.enumerate_fc(rank) == fc_words_by_sweep(rank)
+
+
+@pytest.mark.parametrize("rank", range(1, 10))
+def test_enumerate_fc_matches_the_lifted_321_avoiders(rank):
+    assert classify.enumerate_fc(rank) == fc_words_by_321_avoiders(rank)
+
+
+@pytest.mark.parametrize("rank", range(1, 10))
+def test_cfc_words_are_the_fc_words_without_a_repeated_letter(rank):
+    fc = classify.enumerate_fc(rank)
+    assert classify.enumerate_cfc(rank) == {w for w in fc if len(set(w)) == len(w)}
 
 
 def test_enumerate_fc_matches_pattern_filter():

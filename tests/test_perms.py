@@ -5,12 +5,13 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from cfckit import perms, words
+from cfckit import classify, perms, words
 from cfckit.errors import DegreeMismatch, NotAPermutation
 
 from oracles import (
     cayley_lengths,
     conjugacy_orbit,
+    iter_321_avoiding,
     naive_contains_321,
     naive_contains_3412,
     word_from_permutation_by_restart,
@@ -103,12 +104,28 @@ def _holds_321(p):
 
 @pytest.mark.parametrize("degree", range(1, 13))
 def test_321_avoiders_are_generated_once_each_in_order(degree):
-    out = list(perms.iter_321_avoiding(degree))
+    out = list(iter_321_avoiding(degree))
     assert len(out) == math.comb(2 * degree, degree) // (degree + 1)
     assert all(a < b for a, b in zip(out, out[1:]))
     if degree <= 10:
         # with the count and the order, this makes out every 321-avoider
         assert all(perms.is_one_line(p) and not _holds_321(p) for p in out)
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("degree", range(1, 11))
+def test_cfc_permutations_are_the_cfc_321_avoiders_once_each_in_order(degree):
+    out = list(perms.iter_cfc_permutations(degree))
+    assert len(out) == len(set(out)) == _fibonacci(2 * degree - 1)
+    assert all(a < b for a, b in zip(out, out[1:]))
+    expected = [p for p in iter_321_avoiding(degree) if classify.cfc_pattern(p) is None]
+    assert out == expected
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])

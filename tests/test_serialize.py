@@ -311,6 +311,44 @@ CONTRADICTED = {
         _table(lambda g: _leaves(g, [1, 2]).update(canonical_word=[2, 1])),
         "sorted support",
     ),
+    "table-empty-cyclic-class": (
+        serialize.class_table_from_obj,
+        {
+            "rank": 3,
+            "conjugacy_classes": [
+                {
+                    "ring_size_multiset": [7],
+                    "cyclic_classes": [{"canonical_word": [3, 1], "commutation_classes": []}],
+                }
+            ],
+        },
+        "lists no element",
+    ),
+    "table-empty-conjugacy-class": (
+        serialize.class_table_from_obj,
+        _table(lambda g: g[(2,)].update(cyclic_classes=[])),
+        "no cyclic class",
+    ),
+    "table-repeated-leaf": (
+        serialize.class_table_from_obj,
+        {
+            "rank": 1,
+            "conjugacy_classes": [
+                {
+                    "ring_size_multiset": [1],
+                    "cyclic_classes": [
+                        {"canonical_word": [1], "commutation_classes": [[[1]], [[1]]]}
+                    ],
+                }
+            ],
+        },
+        "listed twice",
+    ),
+    "table-element-in-two-classes": (
+        serialize.class_table_from_obj,
+        _table(lambda g: g[(2,)]["cyclic_classes"].append(g[(2,)]["cyclic_classes"][0])),
+        "listed twice",
+    ),
     "table-wrong-ring-sizes": (
         serialize.class_table_from_obj,
         _table(lambda g: g[(2,)].update(ring_size_multiset=[1, 1])),
