@@ -21,7 +21,10 @@ whose starts b and ends a both strictly increase from run to run
 directly.  A CFC element uses each support generator once, so its runs are
 disjoint: its support cut after each g that precedes g+1, each piece
 decreasing, over increasing, disjoint intervals [a, b], which for the
-Coxeter elements cover 1..rank:
+Coxeter elements cover 1..rank.  The lazy ``_interval_words`` writes them
+down, the package's one construction of the CFC elements, for
+:func:`enumerate_cfc`, :func:`enumerate_coxeter`, class tables and the
+conjecture sweep:
 
 >>> sorted(enumerate_coxeter(3))
 [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
@@ -206,15 +209,24 @@ def enumerate_fc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
     return frozenset(_fc_words(rank))
 
 
-def _interval_words(rank: int, cover: bool) -> frozenset[Word]:
-    """The interval-form words over 1..rank, built from the right at O(rank)
-    per word; with ``cover`` the intervals cover 1..rank."""
-    above = {rank + 1: [()]}  # above[s]: the words over generators s..rank
-    for s in range(rank, 0, -1):
-        above[s] = ([] if cover else above[s + 1]) + [
-            tuple(range(b, s - 1, -1)) + tail for b in range(s, rank + 1) for tail in above[b + 1]
-        ]
-    return frozenset(above[1])
+def _interval_words(rank: int, cover: bool) -> Iterator[Word]:
+    """The interval-form words over 1..rank, depth-first: each word grows by
+    a run b, b-1, ..., a with a above the last run's b, so the empty word
+    comes first and (rank,) second.  With ``cover`` each run starts right
+    after the last one, and only the words that reach rank are yielded."""
+    runs = [(tuple(range(b, a - 1, -1)), a, b) for b in range(1, rank + 1) for a in range(1, b + 1)]
+    # follow[last]: each run that may come after a run ending at last, with its end
+    follow = [
+        [(run, b) for run, a, b in runs if a == last + 1 or (a > last and not cover)]
+        for last in range(rank + 1)
+    ]
+    stack = [((), 0)]  # (word, end of its last run)
+    while stack:
+        word, last = stack.pop()
+        if last == rank or not cover:
+            yield word
+        for run, b in follow[last]:
+            stack.append((word + run, b))
 
 
 def enumerate_cfc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
@@ -226,7 +238,7 @@ def enumerate_cfc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
     13
     """
     _check_enum_rank(rank, max_rank)
-    return _interval_words(rank, cover=False)
+    return frozenset(_interval_words(rank, cover=False))
 
 
 def enumerate_coxeter(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
@@ -238,4 +250,4 @@ def enumerate_coxeter(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Wor
     [(1, 2), (2, 1)]
     """
     _check_enum_rank(rank, max_rank)
-    return _interval_words(rank, cover=True)
+    return frozenset(_interval_words(rank, cover=True))

@@ -11,11 +11,11 @@ at most one direction change iff the element is CFC) is open; the checker
 reports disagreements as data, never as failure.
 
 The checker settles every permutation of the degree while visiting only
-the ones that can disagree: the CFC permutations, built directly by
-:func:`perms.iter_cfc_permutations`, and the predicate's permutations,
-built directly by :func:`iter_predicate_permutations`.  A permutation in
-neither set is not CFC and fails the predicate, so the two verdicts agree
-without being computed.
+the ones that can disagree: the images of the CFC words, written down by
+``classify._interval_words``, and the predicate's permutations, built
+from cycles by :func:`iter_predicate_permutations`, independently of the
+words.  A permutation in neither set is not CFC and fails the predicate,
+so the two verdicts agree without being computed.
 """
 
 from __future__ import annotations
@@ -135,7 +135,7 @@ def check_conjecture(rank: int, max_rank: int = CONJECTURE_RANK_CAP) -> Conjectu
     permutation of degree rank+1; only counterexamples get words.
 
     Two lazy passes visit the permutations that can disagree.  The first
-    runs the predicate on every CFC permutation, which is CFC by
+    runs the predicate on the image of every CFC word, which is CFC by
     construction.  The second runs the pattern test on every permutation
     built by :func:`iter_predicate_permutations` and keeps those that are
     not CFC; the CFC ones were settled in the first pass.  Any other
@@ -147,9 +147,9 @@ def check_conjecture(rank: int, max_rank: int = CONJECTURE_RANK_CAP) -> Conjectu
     """
     classify._check_enum_rank(rank, max_rank)
     degree = rank + 1
-    counterexamples = [
-        (p, False, True) for p in perms.iter_cfc_permutations(degree) if not conjecture_predicate(p)
-    ]
+    cfc_words = classify._interval_words(rank, cover=False)
+    cfc_images = (perms.to_permutation(w, rank) for w in cfc_words)
+    counterexamples = [(p, False, True) for p in cfc_images if not conjecture_predicate(p)]
     counterexamples += [
         (p, True, False)
         for p in iter_predicate_permutations(degree)

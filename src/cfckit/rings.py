@@ -202,19 +202,23 @@ def _diagonalize_steps(start: int, bits: tuple[bool, ...]) -> list[int]:
     A shift is legal at generator g when its block is maximal within the
     chunk.  Shifting the leftmost maximal generator past the first column
     moves one backward edge one column right, or out past the last column,
-    so no shorter sequence exists.  A shift at column j changes only
+    so no shorter sequence exists, and only a shift at the last column
+    lowers the count of backward edges.  A shift at column j changes only
     whether columns j-1..j+1 are maximal, so the search resumes at j-1.
     """
     state = list(bits)
+    backward = state.count(False)
     steps = []
     j = 1
-    while not all(state):
+    while backward:
         # j > 0 is maximal iff j-1 follows it and j+1 (if any) precedes it
         while state[j - 1] or (j < len(state) and not state[j]):
             j += 1
         state[j - 1] = True
         if j < len(state):
             state[j] = False
+        else:
+            backward -= 1
         steps.append(start + j)
         j = max(j - 1, 1)
     return steps

@@ -179,11 +179,21 @@ def certificate_to_obj(cert: rings.ConjugacyCertificate) -> dict:
 
 @_loader
 def certificate_from_obj(obj: dict) -> rings.ConjugacyCertificate:
-    """Load a certificate after checking it again: S_{m+1} embeds in every
-    larger symmetric group, so the largest letter m fixes enough degree."""
+    """Load a certificate after checking it again, on its letters relabelled
+    so that neighbours stay neighbours and each gap becomes one unused
+    letter: they generate an isomorphic parabolic subgroup, and the check
+    runs in at most twice as many letters as the certificate uses."""
     source, target, conjugator = (_ints(obj[key]) for key in ("source", "target", "conjugator"))
-    rank = max(source + target + conjugator, default=1)
-    p_source, p_target, p_x = (perms.to_permutation(w, rank) for w in (source, target, conjugator))
+    label, top = {}, -1
+    for g in sorted(set(source + target + conjugator)):
+        if g < 1:
+            raise InvalidGenerator(f"generator {g} is below 1")
+        top += 1 if g - 1 in label else 2
+        label[g] = top
+    p_source, p_target, p_x = (
+        perms.to_permutation(tuple(label[g] for g in w), max(top, 1))
+        for w in (source, target, conjugator)
+    )
     if perms.conjugate(p_source, p_x) != p_target:
         raise InvalidObject(
             f"conjugator {list(conjugator)} does not carry {list(source)} to {list(target)}"
@@ -281,8 +291,8 @@ def class_table_from_obj(obj: dict) -> tables.ClassTable:
     whose commutation class is its leaf list, whose sorted support is the
     canonical word above it and whose chunk sizes are the group's ring sizes.
     Every class must list an element, and no element may be listed twice.
-    As for certificates, a leaf is checked in the degree of its largest
-    letter, so the cost follows the data, not the declared rank."""
+    A leaf is checked in the degree of its largest letter, so the cost
+    follows the data, not the declared rank."""
     rank = _typed(obj["rank"], int)
     words.check_rank(rank)
     groups = []

@@ -66,8 +66,12 @@ def test_class_table_trusts_the_elements_it_generates(calls):
 
 
 def test_conjecture_sweep_stays_on_permutations(calls):
-    assert conjecture.check_conjecture(3).agree
-    assert calls == Counter()
+    # one image per CFC word, F(2*rank+1) of them, and no input check: the
+    # words are CFC by construction and the predicate side is built from cycles
+    for rank, fibonacci in [(3, 13), (4, 34), (5, 89), (6, 233), (7, 610)]:
+        calls.clear()
+        assert conjecture.check_conjecture(rank).agree
+        assert calls == Counter(to_permutation=fibonacci)
 
 
 def test_enumerate_fc_writes_words_without_permutations(monkeypatch):

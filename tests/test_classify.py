@@ -2,6 +2,7 @@ import inspect
 import itertools
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cfckit import classify, perms, words
 from cfckit.errors import ClosureTooLarge, NotReduced, RankTooLarge
@@ -235,3 +236,62 @@ def test_rank_cap_guard():
         classify.enumerate_fc(10)
     with pytest.raises(RankTooLarge):
         classify.enumerate_cfc(4, max_rank=3)
+
+
+# Property tests above the exhaustive ranks, at degrees 11-30: each verdict
+# against a fact about the element's canonical word (its lex-least reduced
+# word), which shares no code with the pattern scans.
+
+
+@st.composite
+def _distinct_letter_words(draw):
+    rank = draw(st.integers(10, 29))
+    return tuple(draw(st.lists(st.integers(1, rank), unique=True, max_size=rank))), rank
+
+
+@st.composite
+def _words_with_one_repeat(draw):
+    word, rank = draw(_distinct_letter_words().filter(lambda drawn: drawn[0]))
+    i = draw(st.integers(0, len(word)))
+    word = (*word[:i], draw(st.sampled_from(word)), *word[i:])
+    assume(words.is_reduced(word, rank))
+    return word, rank
+
+
+ELEMENTS = {
+    "distinct-letters": _distinct_letter_words().map(lambda drawn: perms.to_permutation(*drawn)),
+    "one-repeat": _words_with_one_repeat().map(lambda drawn: perms.to_permutation(*drawn)),
+    "uniform": st.integers(11, 30).flatmap(lambda d: st.permutations(range(1, d + 1))).map(tuple),
+}
+
+
+def _rising_decreasing_runs(word) -> bool:
+    """True iff the maximal runs b, b-1, ..., a of word have strictly
+    increasing starts b and strictly increasing ends a."""
+    runs = []
+    for g in word:
+        if runs and runs[-1][-1] == g + 1:
+            runs[-1].append(g)
+        else:
+            runs.append([g])
+    return all(r[0] < s[0] and r[-1] < s[-1] for r, s in zip(runs, runs[1:]))
+
+
+@pytest.mark.parametrize("draw", sorted(ELEMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_is_cfc_iff_the_canonical_word_repeats_no_letter(draw, data):
+    # Boothby et al. 2012
+    p = data.draw(ELEMENTS[draw])
+    word = perms.word_from_permutation(p)
+    assert classify.is_cfc(word, len(p) - 1).is_cfc == (len(set(word)) == len(word))
+
+
+@pytest.mark.parametrize("draw", sorted(ELEMENTS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_is_fc_iff_the_canonical_word_is_rising_decreasing_runs(draw, data):
+    # Billey-Jockusch-Stanley 1993
+    p = data.draw(ELEMENTS[draw])
+    word = perms.word_from_permutation(p)
+    assert classify.is_fc(word, len(p) - 1).is_fc == _rising_decreasing_runs(word)

@@ -3,8 +3,9 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cfckit import conjecture, heaps, rings, serialize, tables
+from cfckit import conjecture, heaps, perms, rings, serialize, tables
 from cfckit.errors import InvalidGenerator, InvalidObject
 
 
@@ -99,6 +100,44 @@ def test_certificate_loader_rechecks_conjugation():
     # the largest letter fixes the degree: 1 -> 2 under conjugation by 1,2
     obj["conjugator"] = [1, 2]
     assert serialize.certificate_from_obj(obj).verified
+
+
+def test_certificate_loader_cost_follows_the_letters_used():
+    # the letters are relabelled before the check, so their size costs nothing
+    letter = 10**9
+    obj = {"source": [letter], "target": [letter], "conjugator": []}
+    start = time.perf_counter()
+    cert = serialize.certificate_from_obj(obj)
+    assert time.perf_counter() - start < 0.1
+    assert cert == rings.ConjugacyCertificate((letter,), (letter,), (), verified=True)
+    obj["target"] = [letter - 1]
+    with pytest.raises(InvalidObject) as info:
+        serialize.certificate_from_obj(obj)
+    assert serialize.error_to_obj(info.value)["code"] == "invalid_object"
+
+
+_SMALL_WORDS = st.lists(st.integers(1, 12), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=_SMALL_WORDS, target=_SMALL_WORDS, conjugator=_SMALL_WORDS, conjugate=st.booleans())
+def test_certificate_loader_agrees_with_the_check_at_the_largest_letter(
+    source, target, conjugator, conjugate
+):
+    # the oracle: the same check in the degree of the largest letter
+    rank = max(source + target + conjugator, default=1)
+    p_source, p_x = (perms.to_permutation(w, rank) for w in (source, conjugator))
+    if conjugate:
+        target = list(perms.word_from_permutation(perms.conjugate(p_source, p_x)))
+    expected = perms.conjugate(p_source, p_x) == perms.to_permutation(target, rank)
+    obj = {"source": source, "target": target, "conjugator": conjugator}
+    try:
+        loaded = serialize.certificate_from_obj(obj)
+    except InvalidObject:
+        assert not expected
+    else:
+        assert expected
+        assert (list(loaded.source), list(loaded.target)) == (source, target)
 
 
 def test_heap_loader_rejects_mismatched_levels_and_covers():

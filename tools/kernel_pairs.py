@@ -34,6 +34,7 @@ DEFAULT_KERNELS = (
     "check_conjecture(9, max_rank=9)",
     "check_conjecture(10, max_rank=10)",
     "enumerate_cfc(9)",
+    "enumerate_coxeter(9)",
     "class_table(7)",
 )
 
