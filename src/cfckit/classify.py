@@ -185,16 +185,19 @@ def chunk_layout(word: Word) -> tuple[tuple[int, int, tuple[bool, ...]], ...]:
 def _fc_words(rank: int) -> Iterator[Word]:
     """The FC canonical words over 1..rank, depth-first: each word grows by
     a run b, b-1, ..., a whose a and b exceed the last run's."""
-    runs = {(a, b): tuple(range(b, a - 1, -1)) for b in range(1, rank + 1) for a in range(1, b + 1)}
-    stack = [((), 0, 0)]  # (word, start and end of its last run)
+    runs = [(tuple(range(b, a - 1, -1)), a, b) for b in range(1, rank + 1) for a in range(1, b + 1)]
+    # follow[(a, b)]: each run that may come after the run b, b-1, ..., a
+    follow = {
+        (last_a, last_b): [(run, (a, b)) for run, a, b in runs if a > last_a and b > last_b]
+        for last_b in range(rank + 1)
+        for last_a in range(last_b + 1)
+    }
+    stack = [((), (0, 0))]  # (word, start and end of its last run)
     while stack:
-        word, last_a, last_b = stack.pop()
+        word, last = stack.pop()
         yield word
-        stack.extend(
-            (word + runs[a, b], a, b)
-            for b in range(last_b + 1, rank + 1)
-            for a in range(last_a + 1, b + 1)
-        )
+        for run, ends in follow[last]:
+            stack.append((word + run, ends))
 
 
 def enumerate_fc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:

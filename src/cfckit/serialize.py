@@ -6,7 +6,8 @@ generator 12 at rank 12 reads as itself.  Cycles print as ``(1 2 4 5)`` and
 are normalized smallest-first on parse.  Loaders check heaps, certificates,
 conjecture reports and class tables again rather than trusting them, and
 report any missing key, wrong type, non-permutation, letter outside the rank
-or contradicted content as InvalidObject.
+or contradicted content as InvalidObject.  They read CFC off a reduced word
+as no repeated letter (type A), so no loader runs a pattern scan.
 """
 
 from __future__ import annotations
@@ -21,6 +22,14 @@ Word = tuple[int, ...]
 Perm = tuple[int, ...]
 
 
+def _ascii_int(text: str) -> int:
+    # int() alone would also read a sign, underscores and other scripts' digits
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an unsigned integer")
+    return int(digits)
+
+
 def parse_word_text(text: str, rank: int) -> Word:
     """
     >>> parse_word_text("12342", 4)
@@ -33,17 +42,10 @@ def parse_word_text(text: str, rank: int) -> Word:
     text = text.strip()
     if text in ("", "e"):
         return ()
-    # int() also reads underscores and non-ASCII digits; the notation has neither
-    if "_" not in text and (
-        text.isascii() or not any(ch.isdecimal() and not ch.isascii() for ch in text)
-    ):
-        try:
-            if "," in text or rank > 9:
-                return tuple(int(part) for part in text.split(","))
-            return tuple(int(ch) for ch in text)
-        except ValueError:
-            pass
-    raise InvalidGenerator(f"cannot parse word {text!r}")
+    try:
+        return tuple(map(_ascii_int, text.split(",") if "," in text or rank > 9 else text))
+    except ValueError:
+        raise InvalidGenerator(f"cannot parse word {text!r}") from None
 
 
 def format_word_text(word: Word, rank: int) -> str:
@@ -128,9 +130,11 @@ def cycle_from_text(text: str) -> tuple[int, ...]:
     >>> cycle_from_text("(4 5 1 2)")
     (1, 2, 4, 5)
     """
-    body = text.strip().lstrip("(").rstrip(")")
+    body = text.strip()
     try:
-        entries = tuple(int(part) for part in body.replace(",", " ").split())
+        if body[:1] + body[-1:] != "()":
+            raise ValueError("a cycle is one pair of parentheses")
+        entries = tuple(_ascii_int(part) for part in body[1:-1].replace(",", " ").split())
     except ValueError:
         raise InvalidObject(f"cannot parse cycle {text!r}") from None
     if len(set(entries)) < len(entries) or any(v < 1 for v in entries):
@@ -254,10 +258,7 @@ def report_from_obj(obj: dict) -> conjecture.ConjectureReport:
             raise InvalidObject(f"{list(p)} is not the rank-{rank} image of {list(word)}")
         if perms.word_from_permutation(p) != word:
             raise InvalidObject(f"{list(word)} is not the canonical word of {list(p)}")
-        if (predicted, actual) != (
-            conjecture.conjecture_predicate(p),
-            classify.cfc_pattern(p) is None,
-        ):
+        if (predicted, actual) != (conjecture.conjecture_predicate(p), len(set(word)) == len(word)):
             raise InvalidObject(f"the verdicts on {list(p)} do not match a recomputation")
         if predicted == actual:
             raise InvalidObject(f"{list(p)} is no counterexample: both verdicts are {predicted}")
@@ -291,8 +292,7 @@ def class_table_from_obj(obj: dict) -> tables.ClassTable:
     whose commutation class is its leaf list, whose sorted support is the
     canonical word above it and whose chunk sizes are the group's ring sizes.
     Every class must list an element, and no element may be listed twice.
-    A leaf is checked in the degree of its largest letter, so the cost
-    follows the data, not the declared rank."""
+    The cost follows the leaves, not the declared rank."""
     rank = _typed(obj["rank"], int)
     words.check_rank(rank)
     groups = []
@@ -325,11 +325,11 @@ def class_table_from_obj(obj: dict) -> tables.ClassTable:
 def _check_leaf(expressions, canonical: Word, ring_sizes) -> None:
     if not expressions:
         raise InvalidObject("a table leaf lists no expressions")
-    # every listed word is a reduced expression of the first, so all are CFC.
-    # Above the largest letter the image only has fixed points, which no 321
-    # or 3412 occurrence uses, so a rejection names the same witness as at
-    # the table's rank.
-    first = classify.require_cfc(expressions[0], max(expressions[0], default=1))
+    # a word is a reduced word of a CFC element iff no letter repeats in it;
+    # every other listed word must be a reduced expression of the first
+    first = expressions[0]
+    if len(set(first)) < len(first):
+        raise InvalidObject(f"{list(first)} is not CFC: a letter repeats")
     if expressions != tuple(sorted(words.linear_extensions(first, "commutation_class"))):
         raise InvalidObject(f"{[list(w) for w in expressions]} is not a sorted commutation class")
     sizes, support = classify.class_key(first)

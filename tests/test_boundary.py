@@ -66,12 +66,13 @@ def test_class_table_trusts_the_elements_it_generates(calls):
 
 
 def test_conjecture_sweep_stays_on_permutations(calls):
-    # one image per CFC word, F(2*rank+1) of them, and no input check: the
-    # words are CFC by construction and the predicate side is built from cycles
+    # one image per CFC word and one canonical word per predicate permutation,
+    # F(2*rank+1) of each, and no input check: the words are CFC by
+    # construction and the predicate side is built from cycles
     for rank, fibonacci in [(3, 13), (4, 34), (5, 89), (6, 233), (7, 610)]:
         calls.clear()
         assert conjecture.check_conjecture(rank).agree
-        assert calls == Counter(to_permutation=fibonacci)
+        assert calls == Counter(to_permutation=fibonacci, word_from_permutation=fibonacci)
 
 
 def test_enumerate_fc_writes_words_without_permutations(monkeypatch):
@@ -82,11 +83,13 @@ def test_enumerate_fc_writes_words_without_permutations(monkeypatch):
 
 @pytest.mark.parametrize("rank, fibonacci", [(3, 13), (4, 34), (5, 89), (6, 233), (7, 610)])
 def test_conjecture_check_scans_only_the_predicate_permutations(monkeypatch, rank, fibonacci):
-    # the CFC permutations are CFC by construction; each of the F(2*rank+1)
-    # predicate permutations gets one 321 scan and, avoiding 321, one 3412 scan
-    counts = _count(monkeypatch, [(perms, "find_321"), (perms, "find_3412")])
+    # the CFC permutations are CFC by construction, and each of the
+    # F(2*rank+1) predicate permutations is CFC iff no letter repeats in its
+    # canonical word, so no permutation gets a pattern scan
+    counted = [(perms, "find_321"), (perms, "find_3412"), (perms, "word_from_permutation")]
+    counts = _count(monkeypatch, counted)
     assert conjecture.check_conjecture(rank).agree
-    assert counts == Counter(find_321=fibonacci, find_3412=fibonacci)
+    assert counts == Counter(word_from_permutation=fibonacci)
 
 
 @pytest.mark.parametrize(
@@ -130,6 +133,29 @@ def test_words_holds_the_only_closure_walk():
         owner = path.name == "words.py"
         assert ("ClosureTooLarge" in called) == owner, path.name
         assert ("deque" in imported) == owner, path.name
+
+
+def test_pattern_scans_serve_only_the_verdicts():
+    # perms defines the 321/3412 scans and classify's verdicts alone call
+    # them; the loaders and the conjecture sweep read CFC off a canonical word
+    scans = {"find_321", "find_3412", "cfc_pattern"}
+    verdicts = {"is_fc", "is_cfc", "require_cfc"}
+    paths = sorted((ROOT / "src" / "cfckit").glob("*.py"))
+    assert {"classify.py", "conjecture.py", "perms.py", "serialize.py"} <= {p.name for p in paths}
+    for path in paths:
+        nodes = list(ast.walk(ast.parse(path.read_text())))
+        called = {
+            getattr(n.func, "id", getattr(n.func, "attr", None))
+            for n in nodes
+            if isinstance(n, ast.Call)
+        }
+        defined = {n.name for n in nodes if isinstance(n, ast.FunctionDef)}
+        if path.name == "perms.py":
+            assert {"find_321", "find_3412"} <= defined
+        elif path.name != "classify.py":
+            assert not called & scans, path.name
+        if path.name in ("serialize.py", "conjecture.py"):
+            assert not called & verdicts, path.name
 
 
 def test_no_function_takes_a_route_knob():

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 import time
 
 import pytest
@@ -7,6 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from cfckit import conjecture, heaps, perms, rings, serialize, tables
 from cfckit.errors import InvalidGenerator, InvalidObject
+
+from oracles import conjecture_report_by_sweep
 
 
 def test_parse_word_text_forms():
@@ -16,14 +19,13 @@ def test_parse_word_text_forms():
     assert serialize.parse_word_text("", 3) == ()
     with pytest.raises(InvalidGenerator):
         serialize.parse_word_text("1a2", 3)
-    # only ASCII digits, commas and e: int() would read these three
-    for text, rank in (("1_2", 12), ("1_0,2", 12), ("\u0661\u0662", 3)):
+    # only ASCII digits, commas and e: int() would read each of these
+    for text, rank in (("1_2", 12), ("1_0,2", 12), ("\u0661\u0662", 3), ("+1", 12), ("+1,2", 3)):
         with pytest.raises(InvalidGenerator) as info:
             serialize.parse_word_text(text, rank)
         assert str(info.value) == f"cannot parse word {text!r}"
-    # other forms int() reads keep their parse
+    # whitespace around a comma-separated letter keeps its parse
     assert serialize.parse_word_text(" 1, 2 ", 3) == (1, 2)
-    assert serialize.parse_word_text("+1,2", 3) == (1, 2)
 
 
 def test_word_text_round_trip():
@@ -59,7 +61,21 @@ def test_cycle_text_round_trip_and_normalization():
     assert serialize.cycle_from_text("(1 2 4 5)") == (1, 2, 4, 5)
 
 
-@pytest.mark.parametrize("text", ["(1 1 2)", "(3 0 -2)", "(a b)", "(1 2.5)"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(1 1 2)",
+        "(3 0 -2)",
+        "(a b)",
+        "(1 2.5)",
+        # int() reads these entries, or the parentheses are not one pair
+        "(1_0 2)",
+        "(\u0661 2)",
+        "(+1 2)",
+        "(1 2",
+        "((1 2))",
+    ],
+)
 def test_cycle_from_text_rejects_bad_text(text):
     with pytest.raises(InvalidObject):
         serialize.cycle_from_text(text)
@@ -239,6 +255,23 @@ def test_report_carries_counterexamples(monkeypatch):
     assert rebuilt.counterexamples[0][1] == (2, 3, 1, 4)
 
 
+@pytest.mark.parametrize("rank", range(1, 7))
+def test_reports_with_counterexamples_match_the_sweep_and_round_trip(monkeypatch, rank):
+    # a stricter predicate, every cycle of length at most 3, disagrees with
+    # CFC from rank 3 on; both routes must find the same counterexamples
+    predicate = conjecture.conjecture_predicate
+    monkeypatch.setattr(
+        conjecture,
+        "conjecture_predicate",
+        lambda p: predicate(p) and all(len(c) <= 3 for c in perms.cycles(p)),
+    )
+    report = conjecture.check_conjecture(rank)
+    assert report == conjecture_report_by_sweep(rank)
+    assert bool(report.counterexamples) == (rank >= 3)
+    obj = json.loads(json.dumps(serialize.report_to_obj(report)))
+    assert serialize.report_from_obj(obj) == report
+
+
 def test_class_table_round_trip():
     table = tables.class_table(3)
     obj = json.loads(json.dumps(serialize.class_table_to_obj(table)))
@@ -412,16 +445,30 @@ def test_report_loader_rejects_a_huge_rank_quickly(rank):
     assert time.perf_counter() - start < 0.1
 
 
-@pytest.mark.parametrize("rank", [10**6, 10**9])
+@pytest.mark.parametrize("rank", [10**6, 10**9, 10**4])
 def test_table_loader_cost_follows_the_leaves_not_the_rank(rank):
-    # a leaf is checked in the degree of its largest letter
-    leaf = {"canonical_word": [1], "commutation_classes": [[[1]]]}
-    obj = {"rank": rank, "conjugacy_classes": [{"ring_size_multiset": [1], "cyclic_classes": [leaf]}]}
+    # a leaf's cost follows its letters, not their size or the declared rank
+    for letter in (1, 10**4):
+        leaf = {"canonical_word": [letter], "commutation_classes": [[[letter]]]}
+        group = {"ring_size_multiset": [1], "cyclic_classes": [leaf]}
+        start = time.perf_counter()
+        table = serialize.class_table_from_obj({"rank": rank, "conjugacy_classes": [group]})
+        assert time.perf_counter() - start < 0.1
+        cyclic = tables.CyclicClassGroup((letter,), (((letter,),),))
+        assert table == tables.ClassTable(rank, (tables.ConjugacyClassGroup((1,), (cyclic,)),))
+
+
+def test_report_loader_recomputes_a_high_rank_counterexample_quickly():
+    # the swap of 2000 and 2001 is CFC and satisfies the predicate, so the
+    # forged verdicts are caught in time linear in the degree
+    rank = 2000
+    one_line = [*range(1, rank), rank + 1, rank]
+    entry = {"word": [rank], "one_line": one_line, "predicate_verdict": False, "cfc_verdict": True}
+    obj = {"rank": rank, "elements_checked": math.factorial(rank + 1), "agree": False}
     start = time.perf_counter()
-    table = serialize.class_table_from_obj(obj)
-    assert time.perf_counter() - start < 0.1
-    cyclic = tables.CyclicClassGroup((1,), (((1,),),))
-    assert table == tables.ClassTable(rank, (tables.ConjugacyClassGroup((1,), (cyclic,)),))
+    with pytest.raises(InvalidObject, match="recomputation"):
+        serialize.report_from_obj({**obj, "counterexamples": [entry]})
+    assert time.perf_counter() - start < 0.5
 
 
 def test_error_objects_have_stable_codes():
