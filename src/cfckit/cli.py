@@ -2,29 +2,31 @@
 
 Results go to stdout as JSON (or readable text with ``--format text``);
 human diagnostics go to stderr.  Domain errors exit 1 with an error object
-carrying a stable ``code``; usage errors exit 2.
+carrying a stable ``code``; usage errors exit 2, among them any rank option
+that is not ASCII digits (``words.ascii_int``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
 
-from . import classify, conjecture, heaps, rings, serialize, tables
+from . import classify, conjecture, heaps, rings, serialize, tables, words
 from .errors import CfcError, WriteFailed
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+    with contextlib.suppress(ValueError):
+        if (value := words.ascii_int(text)) >= 1:
+            return value
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
 
 
 def _add_rank(parser, max_rank=False):
-    parser.add_argument("--rank", type=int, required=True, help="number of generators")
+    parser.add_argument("--rank", type=words.ascii_int, required=True, help="number of generators")
     if max_rank:
         parser.add_argument("--max-rank", type=_positive_int, default=None)
 
@@ -45,15 +47,11 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_rank(p)
     p.add_argument("--word", required=True)
 
-    p = sub.add_parser("conj", help="decide conjugacy of two CFC words")
-    _add_rank(p)
-    p.add_argument("--w", required=True)
-    p.add_argument("--y", required=True)
-
-    p = sub.add_parser("witness", help="conjugacy certificate for two CFC words")
-    _add_rank(p)
-    p.add_argument("--w", required=True)
-    p.add_argument("--y", required=True)
+    for name, about in (("conj", "decide conjugacy of"), ("witness", "conjugacy certificate for")):
+        p = sub.add_parser(name, help=f"{about} two CFC words")
+        _add_rank(p)
+        p.add_argument("--w", required=True)
+        p.add_argument("--y", required=True)
 
     p = sub.add_parser("render", help="draw the heap of a word")
     _add_rank(p)
@@ -127,17 +125,13 @@ def _dispatch(args) -> dict | str:
             "cfc": serialize.cfc_verdict_to_obj(cfc),
         }
 
-    if args.command == "conj":
-        w = serialize.parse_word_text(args.w, args.rank)
-        y = serialize.parse_word_text(args.y, args.rank)
-        conjugate = rings.is_conjugate_cfc(w, y, args.rank)
-        if text:
-            return f"conjugate: {conjugate}\n"
-        return {"rank": args.rank, "w": list(w), "y": list(y), "conjugate": conjugate}
-
-    if args.command == "witness":
-        w = serialize.parse_word_text(args.w, args.rank)
-        y = serialize.parse_word_text(args.y, args.rank)
+    if args.command in ("conj", "witness"):
+        w, y = (serialize.parse_word_text(t, args.rank) for t in (args.w, args.y))
+        if args.command == "conj":
+            conjugate = rings.is_conjugate_cfc(w, y, args.rank)
+            if text:
+                return f"conjugate: {conjugate}\n"
+            return {"rank": args.rank, "w": list(w), "y": list(y), "conjugate": conjugate}
         cert = rings.conjugacy_witness(w, y, args.rank)
         if cert is None:
             return "not conjugate\n" if text else {"rank": args.rank, "conjugate": False}

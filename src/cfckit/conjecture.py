@@ -45,7 +45,7 @@ class ConjectureReport:
 
 def _min_first(cycle) -> tuple[int, ...]:
     cycle = tuple(cycle)
-    i = cycle.index(min(cycle))
+    i = cycle.index(min(cycle)) if cycle else 0
     return cycle[i:] + cycle[:i]
 
 
@@ -71,7 +71,7 @@ def direction_changes(cycle) -> frozenset[int]:
 
 def has_connected_support(cycle) -> bool:
     """
-    True iff the entries form an interval of integers.
+    True iff the entries form an interval of integers, the empty one included.
 
     >>> has_connected_support((1, 3, 5, 7))
     False
@@ -79,7 +79,7 @@ def has_connected_support(cycle) -> bool:
     True
     """
     entries = set(cycle)
-    return entries == set(range(min(entries), max(entries) + 1))
+    return not entries or entries == set(range(min(entries), max(entries) + 1))
 
 
 def conjecture_predicate(p: Perm) -> bool:

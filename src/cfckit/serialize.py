@@ -3,7 +3,8 @@
 Words serialize as integer arrays with the rank carried alongside; the text
 notation is a digit string for ranks up to 9 and comma-separated above, so
 generator 12 at rank 12 reads as itself.  Cycles print as ``(1 2 4 5)`` and
-are normalized smallest-first on parse.  Loaders check heaps, certificates,
+are normalized smallest-first on parse.  Numbers in either text are ASCII
+digits, read by ``words.ascii_int``.  Loaders check heaps, certificates,
 conjecture reports and class tables again rather than trusting them, and
 report any missing key, wrong type, non-permutation, letter outside the rank
 or contradicted content as InvalidObject.  They read CFC off a reduced word
@@ -22,14 +23,6 @@ Word = tuple[int, ...]
 Perm = tuple[int, ...]
 
 
-def _ascii_int(text: str) -> int:
-    # int() alone would also read a sign, underscores and other scripts' digits
-    digits = text.strip()
-    if not (digits.isascii() and digits.isdigit()):
-        raise ValueError(f"{text!r} is not an unsigned integer")
-    return int(digits)
-
-
 def parse_word_text(text: str, rank: int) -> Word:
     """
     >>> parse_word_text("12342", 4)
@@ -43,7 +36,7 @@ def parse_word_text(text: str, rank: int) -> Word:
     if text in ("", "e"):
         return ()
     try:
-        return tuple(map(_ascii_int, text.split(",") if "," in text or rank > 9 else text))
+        return tuple(map(words.ascii_int, text.split(",") if "," in text or rank > 9 else text))
     except ValueError:
         raise InvalidGenerator(f"cannot parse word {text!r}") from None
 
@@ -134,12 +127,12 @@ def cycle_from_text(text: str) -> tuple[int, ...]:
     try:
         if body[:1] + body[-1:] != "()":
             raise ValueError("a cycle is one pair of parentheses")
-        entries = tuple(_ascii_int(part) for part in body[1:-1].replace(",", " ").split())
+        entries = tuple(words.ascii_int(part) for part in body[1:-1].replace(",", " ").split())
     except ValueError:
         raise InvalidObject(f"cannot parse cycle {text!r}") from None
     if len(set(entries)) < len(entries) or any(v < 1 for v in entries):
         raise InvalidObject(f"cycle {text!r} must list distinct positive entries")
-    return conjecture._min_first(entries) if entries else ()
+    return conjecture._min_first(entries)
 
 
 def heap_to_obj(heap: heaps.Heap) -> dict:

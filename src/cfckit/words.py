@@ -7,7 +7,9 @@ answered in the symmetric group of degree rank+1 via :mod:`cfckit.perms`.
 
 :func:`require_reduced` is the one boundary check for a reduced word: public
 functions that need one call it on entry, and the functions they call take
-the checked word on trust.
+the checked word on trust.  :func:`ascii_int` is the one reader of integer
+text from outside: word and cycle text, the CLI's rank options and
+``CFC_MAX_CLOSURE`` all go through it.
 
 :func:`closure` is the one rewriting walk: reduced expressions, the cyclic
 orbit and the word-level FC/CFC routes run through it.  Commutation classes
@@ -19,6 +21,7 @@ raises ClosureTooLarge naming the operation.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from collections import deque
 from collections.abc import Iterator
@@ -32,14 +35,24 @@ DEFAULT_CLOSURE_CAP = 10**6
 CLOSURE_CAP_ENV = "CFC_MAX_CLOSURE"
 
 
+def ascii_int(text: str) -> int:
+    """ASCII digits, surrounding whitespace stripped: unlike int(), it reads
+    no sign, no underscore and no other script's digit."""
+    digits = text.strip()
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{text!r} is not an unsigned integer")
+    return int(digits)
+
+
 def closure_cap() -> int:
     """The word cap from ``CFC_MAX_CLOSURE``; it must be a positive integer."""
     raw = os.environ.get(CLOSURE_CAP_ENV)
     if not raw:
         return DEFAULT_CLOSURE_CAP
-    if not raw.isdecimal() or int(raw) < 1:
-        raise InvalidSetting(f"{CLOSURE_CAP_ENV} must be a positive integer, got {raw!r}")
-    return int(raw)
+    with contextlib.suppress(ValueError):
+        if (cap := ascii_int(raw)) >= 1:
+            return cap
+    raise InvalidSetting(f"{CLOSURE_CAP_ENV} must be a positive integer, got {raw!r}")
 
 
 def check_rank(rank: int) -> None:

@@ -43,14 +43,26 @@ def cayley_lengths(degree):
     return dist
 
 
+def naive_find_321(p):
+    """The lexicographically first 1-based positions i < j < k with
+    p(i) > p(j) > p(k), or None: the first match of a combinations scan."""
+    hits = (c for c in combinations(range(len(p)), 3) if p[c[0]] > p[c[1]] > p[c[2]])
+    return next((tuple(x + 1 for x in c) for c in hits), None)
+
+
+def naive_find_3412(p):
+    """The lexicographically first 1-based positions i < j < k < l with
+    p(k) < p(l) < p(i) < p(j), or None."""
+    hits = (c for c in combinations(range(len(p)), 4) if p[c[2]] < p[c[3]] < p[c[0]] < p[c[1]])
+    return next((tuple(x + 1 for x in c) for c in hits), None)
+
+
 def naive_contains_321(p):
-    return any(p[i] > p[j] > p[k] for i, j, k in combinations(range(len(p)), 3))
+    return naive_find_321(p) is not None
 
 
 def naive_contains_3412(p):
-    return any(
-        p[k] < p[l] < p[i] < p[j] for i, j, k, l in combinations(range(len(p)), 4)
-    )
+    return naive_find_3412(p) is not None
 
 
 def word_image(word, degree):

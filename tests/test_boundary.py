@@ -38,6 +38,19 @@ def _count(monkeypatch, counted_names):
     return counts
 
 
+def _package_trees():
+    """(file name, every ast node) for each module under src/cfckit."""
+    paths = sorted((ROOT / "src" / "cfckit").glob("*.py"))
+    return [(path.name, list(ast.walk(ast.parse(path.read_text())))) for path in paths]
+
+
+def _called(nodes):
+    """The names called among the nodes, bare or as an attribute."""
+    return {
+        getattr(n.func, "id", getattr(n.func, "attr", None)) for n in nodes if isinstance(n, ast.Call)
+    }
+
+
 @pytest.fixture
 def calls(monkeypatch):
     return _count(monkeypatch, COUNTED)
@@ -119,20 +132,15 @@ def test_words_holds_the_only_closure_walk():
     # the cap decisions live in words, in the closure walk and the
     # commutation-class builder: no other module raises ClosureTooLarge or
     # keeps a breadth-first queue of its own
-    paths = sorted((ROOT / "src" / "cfckit").glob("*.py"))
-    assert "words.py" in {path.name for path in paths}
-    for path in paths:
-        nodes = list(ast.walk(ast.parse(path.read_text())))
-        called = {
-            getattr(n.func, "id", getattr(n.func, "attr", None))
-            for n in nodes
-            if isinstance(n, ast.Call)
-        }
+    trees = _package_trees()
+    assert "words.py" in {name for name, _ in trees}
+    for name, nodes in trees:
+        called = _called(nodes)
         imported = {a.name for n in nodes if isinstance(n, ast.ImportFrom) for a in n.names}
         imported |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
-        owner = path.name == "words.py"
-        assert ("ClosureTooLarge" in called) == owner, path.name
-        assert ("deque" in imported) == owner, path.name
+        owner = name == "words.py"
+        assert ("ClosureTooLarge" in called) == owner, name
+        assert ("deque" in imported) == owner, name
 
 
 def test_pattern_scans_serve_only_the_verdicts():
@@ -140,39 +148,33 @@ def test_pattern_scans_serve_only_the_verdicts():
     # them; the loaders and the conjecture sweep read CFC off a canonical word
     scans = {"find_321", "find_3412", "cfc_pattern"}
     verdicts = {"is_fc", "is_cfc", "require_cfc"}
-    paths = sorted((ROOT / "src" / "cfckit").glob("*.py"))
-    assert {"classify.py", "conjecture.py", "perms.py", "serialize.py"} <= {p.name for p in paths}
-    for path in paths:
-        nodes = list(ast.walk(ast.parse(path.read_text())))
-        called = {
-            getattr(n.func, "id", getattr(n.func, "attr", None))
-            for n in nodes
-            if isinstance(n, ast.Call)
-        }
+    trees = _package_trees()
+    assert {"classify.py", "conjecture.py", "perms.py", "serialize.py"} <= {name for name, _ in trees}
+    for name, nodes in trees:
+        called = _called(nodes)
         defined = {n.name for n in nodes if isinstance(n, ast.FunctionDef)}
-        if path.name == "perms.py":
+        if name == "perms.py":
             assert {"find_321", "find_3412"} <= defined
-        elif path.name != "classify.py":
-            assert not called & scans, path.name
-        if path.name in ("serialize.py", "conjecture.py"):
-            assert not called & verdicts, path.name
+        elif name != "classify.py":
+            assert not called & scans, name
+        if name in ("serialize.py", "conjecture.py"):
+            assert not called & verdicts, name
 
 
 def test_no_function_takes_a_route_knob():
     # each answer has one route in the package; alternative routes are test
     # oracles, so no parameter may select between routes
-    for path in sorted((ROOT / "src" / "cfckit").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
+    for name, nodes in _package_trees():
+        for node in nodes:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 args = node.args
                 names = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
-                assert not names & {"mode", "method"}, (path.name, getattr(node, "name", "lambda"))
+                assert not names & {"mode", "method"}, (name, getattr(node, "name", "lambda"))
 
 
 def test_no_module_sweeps_the_symmetric_group():
     # enumerations generate their elements; full sweeps live in tests/oracles.py
-    for path in sorted((ROOT / "src" / "cfckit").glob("*.py")):
-        nodes = list(ast.walk(ast.parse(path.read_text())))
+    for name, nodes in _package_trees():
         swept = [
             n
             for n in nodes
@@ -183,7 +185,24 @@ def test_no_module_sweeps_the_symmetric_group():
                 and any(a.name == "permutations" for a in n.names)
             )
         ]
-        assert not swept, path.name
+        assert not swept, name
+
+
+def test_one_reader_for_integer_text():
+    # words.ascii_int alone turns outside text into an int: a bare int() or
+    # argparse's type=int would also read a sign, an underscore or another
+    # script's digits
+    trees = dict(_package_trees())
+    reader = next(
+        n for n in trees["words.py"] if isinstance(n, ast.FunctionDef) and n.name == "ascii_int"
+    )
+    inside = {id(n) for n in ast.walk(reader)}
+    assert "int" in _called(ast.walk(reader))
+    for name, nodes in trees.items():
+        outside = [n for n in nodes if id(n) not in inside]
+        assert "int" not in _called(outside), name
+        typed = [n for n in outside if isinstance(n, ast.keyword) and n.arg == "type"]
+        assert not [n for n in typed if getattr(n.value, "id", None) == "int"], name
 
 
 def test_traced_functions_resolve():

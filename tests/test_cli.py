@@ -2,6 +2,8 @@ import json
 import pathlib
 import shlex
 
+import pytest
+
 from cfckit import classify, cli, serialize
 from cfckit.cli import run
 
@@ -136,6 +138,32 @@ def test_non_positive_max_rank_is_a_usage_error(capsys):
         assert "must be a positive integer" in err
 
 
+@pytest.mark.parametrize("bad", ["\u0663", "\uff13", "1_0", "+3", "-1", " "])
+def test_rank_that_is_not_ascii_digits_is_a_usage_error(capsys, bad):
+    code, out, err = invoke(capsys, "counts", "--kind", "cfc", "--rank", bad)
+    assert code == 2
+    assert out == ""
+    assert "--rank" in err
+
+
+@pytest.mark.parametrize("bad", ["+1_0", "1_0", "\u0663", "abc", "+10"])
+def test_max_rank_that_is_not_ascii_digits_is_a_usage_error(capsys, bad):
+    code, out, err = invoke(capsys, "counts", "--kind", "cfc", "--rank", "10", "--max-rank", bad)
+    assert code == 2
+    assert out == ""
+    assert "must be a positive integer" in err
+
+
+def test_rank_options_read_surrounding_whitespace_and_zero(capsys):
+    code, out, _ = invoke(capsys, "counts", "--kind", "cfc", "--rank", " 3 ", "--max-rank", "09")
+    assert (code, json.loads(out)["count"]) == (0, 13)
+    # a rank of 0 is read, and answered as a domain error
+    code, out, err = invoke(capsys, "counts", "--kind", "cfc", "--rank", "0")
+    assert code == 1
+    assert json.loads(out)["code"] == "invalid_generator"
+    assert "rank must be >= 1" in err
+
+
 def test_listings_build_text_only_when_asked(capsys, monkeypatch):
     calls = []
     original = serialize.format_word_text
@@ -187,6 +215,23 @@ def test_bad_closure_cap_is_a_domain_error(capsys, monkeypatch):
         assert code == 1
         assert json.loads(out)["code"] == "invalid_setting"
         assert "CFC_MAX_CLOSURE" in err
+
+
+def test_closure_cap_that_is_not_ascii_digits_is_a_domain_error(capsys, monkeypatch):
+    for raw in ("\u0665", "\uff15", "+5", "1_0"):
+        monkeypatch.setenv("CFC_MAX_CLOSURE", raw)
+        code, out, err = invoke(capsys, "classtable", "--rank", "2")
+        assert code == 1
+        assert json.loads(out)["code"] == "invalid_setting"
+        assert "CFC_MAX_CLOSURE" in err
+
+
+def test_closure_cap_reads_surrounding_whitespace(capsys, monkeypatch):
+    monkeypatch.setenv("CFC_MAX_CLOSURE", " 5 ")
+    code, out, err = invoke(capsys, "classify", "--rank", "5", "--word", "13524")
+    assert code == 1
+    assert json.loads(out)["code"] == "closure_too_large"
+    assert "past the cap of 5" in err
 
 
 def test_classify_past_the_closure_cap_is_a_domain_error(capsys, monkeypatch):

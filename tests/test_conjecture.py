@@ -12,6 +12,7 @@ def test_direction_changes_examples():
     assert conjecture.direction_changes((1, 2, 4, 3, 5)) == frozenset({3, 4})
     assert conjecture.direction_changes((1, 3, 5)) == frozenset()
     assert conjecture.direction_changes((1, 4, 3, 5, 2)) == frozenset({3, 4, 5})
+    assert conjecture.direction_changes(()) == frozenset()
 
 
 def test_direction_changes_normalizes_rotation():
@@ -30,6 +31,7 @@ def test_has_connected_support_examples():
     assert not conjecture.has_connected_support((1, 3, 5, 7))
     assert conjecture.has_connected_support((2, 3, 4))
     assert conjecture.has_connected_support((6, 7))
+    assert conjecture.has_connected_support(())
 
 
 def test_conjecture_predicate_examples():

@@ -14,6 +14,8 @@ from oracles import (
     iter_321_avoiding,
     naive_contains_321,
     naive_contains_3412,
+    naive_find_321,
+    naive_find_3412,
     word_from_permutation_by_restart,
 )
 
@@ -128,11 +130,32 @@ def test_interval_word_images_are_the_cfc_321_avoiders_once_each(degree):
     assert set(out) == expected
 
 
-@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("degree", range(1, 8))
 def test_patterns_agree_with_naive_scans(degree):
+    # the CLI prints the positions, so any faster scan must return the
+    # lexicographically first occurrence, as the first-match scans do
     for p in itertools.permutations(range(1, degree + 1)):
         assert perms.contains_321(p) == naive_contains_321(p)
         assert perms.contains_3412(p) == naive_contains_3412(p)
+        assert perms.find_321(p) == naive_find_321(p)
+        assert perms.find_3412(p) == naive_find_3412(p)
+
+
+@st.composite
+def _scan_inputs(draw):
+    # uniform permutations hold both patterns early; the images of short
+    # words stay near the identity, so their first occurrence comes late
+    degree = draw(st.integers(8, 14))
+    if draw(st.booleans()):
+        return tuple(draw(st.permutations(range(1, degree + 1))))
+    word = draw(st.lists(st.integers(1, degree - 1), max_size=degree))
+    return perms.to_permutation(tuple(word), degree - 1)
+
+
+@given(_scan_inputs())
+def test_pattern_witnesses_are_the_first_occurrences_at_larger_degrees(p):
+    assert perms.find_321(p) == naive_find_321(p)
+    assert perms.find_3412(p) == naive_find_3412(p)
 
 
 def test_conjugate_examples():

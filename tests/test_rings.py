@@ -1,10 +1,11 @@
 import itertools
+import json
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cfckit import classify, heaps, perms, rings
+from cfckit import classify, heaps, perms, rings, serialize
 from cfckit.errors import ChunkAtBoundary, NotCFC, OutOfRange, PatternMismatch
 from cfckit.rings import Ring
 
@@ -221,6 +222,74 @@ def test_coxeter_elements_single_conjugacy_and_cyclic_class():
         base = cox[0]
         for w in cox:
             assert rings.is_conjugate_cfc(base, w, rank)
+
+
+def _distinct_letter_word(rng, sizes, rank):
+    """A CFC word at the rank: runs of the given sizes, in that order, with
+    random gaps of at least one letter, and its letters in random order."""
+    slack = rank - sum(sizes) - (len(sizes) - 1)
+    extra = sorted(rng.randint(0, slack) for _ in sizes)
+    letters, start = [], 1
+    for k, size in enumerate(sizes):
+        start += extra[k] - (extra[k - 1] if k else 0)
+        letters += range(start, start + size)
+        start += size + 1
+    rng.shuffle(letters)
+    return tuple(letters)
+
+
+def _near_miss(rng, sizes, rank):
+    """Run sizes that fit the rank and differ from ``sizes`` as a multiset
+    by one edit: a copy of a run or a singleton added, a run dropped, a run
+    resized by one, or one letter moved from a run to another."""
+    k, j = rng.randrange(len(sizes)), rng.randrange(len(sizes))
+    room = rank - sum(sizes) - len(sizes)  # letters left beside one more gap
+    options = [sizes + [extra] for extra in {sizes[k], 1} if extra <= room]
+    if len(sizes) > 1:
+        options.append(sizes[:k] + sizes[k + 1 :])
+    for step in (-1, 1):
+        if 1 <= sizes[k] + step and step <= room:
+            options.append(sizes[:k] + [sizes[k] + step] + sizes[k + 1 :])
+    if j != k and sizes[k] - 1 not in (0, sizes[j]):
+        moved = list(sizes)
+        moved[k] -= 1
+        moved[j] += 1
+        options.append(moved)
+    other = rng.choice(options)
+    rng.shuffle(other)
+    return other
+
+
+@st.composite
+def cfc_pairs(draw):
+    """Two distinct-letter words at a rank of 10..40.  For half the pairs the
+    second reorders the runs of the first and redraws the gaps; for the
+    other half its run sizes are a near miss (:func:`_near_miss`)."""
+    rank = draw(st.integers(10, 40))
+    rng = draw(st.randoms(use_true_random=False))
+    sizes = []
+    while not sizes or (rng.random() < 0.7 and sum(sizes) + len(sizes) + 1 <= rank):
+        sizes.append(rng.randint(1, min(8, rank - sum(sizes) - len(sizes))))
+    if draw(st.booleans()):
+        other = rng.sample(sizes, len(sizes))
+    else:
+        other = _near_miss(rng, sizes, rank)
+    return rank, _distinct_letter_word(rng, sizes, rank), _distinct_letter_word(rng, other, rank)
+
+
+@given(cfc_pairs())
+@settings(max_examples=60, deadline=None)
+def test_conjugacy_is_equal_cycle_type_with_certificates_that_reload(pair):
+    rank, w, y = pair
+    same_type = perms.cycle_type(perms.to_permutation(w, rank)) == perms.cycle_type(
+        perms.to_permutation(y, rank)
+    )
+    assert rings.is_conjugate_cfc(w, y, rank) == same_type
+    cert = rings.conjugacy_witness(w, y, rank)
+    assert (cert is not None) == same_type
+    if cert is not None:
+        obj = json.loads(json.dumps(serialize.certificate_to_obj(cert)))
+        assert serialize.certificate_from_obj(obj) == cert
 
 
 def config_strategy():

@@ -59,6 +59,10 @@ def test_cycle_text_round_trip_and_normalization():
     assert serialize.cycle_to_text((1, 2, 4, 5)) == "(1 2 4 5)"
     assert serialize.cycle_from_text("(4 5 1 2)") == (1, 2, 4, 5)
     assert serialize.cycle_from_text("(1 2 4 5)") == (1, 2, 4, 5)
+    # the empty cycle reads back as () and feeds the predicate's helpers
+    assert serialize.cycle_from_text(serialize.cycle_to_text(())) == ()
+    assert conjecture.has_connected_support(serialize.cycle_from_text(" ( ) "))
+    assert conjecture.direction_changes(serialize.cycle_from_text("()")) == frozenset()
 
 
 @pytest.mark.parametrize(

@@ -113,6 +113,14 @@ def test_reduced_expressions_closure_properties():
                 assert v in closure
 
 
+def test_ascii_int_reads_ascii_digits_only():
+    assert words.ascii_int("12") == 12
+    assert words.ascii_int(" 007\n") == 7
+    for text in ("", " ", "-1", "+1", "1_0", "1.0", "\u0661", "\uff11", "1 2", "0x1"):
+        with pytest.raises(ValueError):
+            words.ascii_int(text)
+
+
 def test_closure_cap_env_override(monkeypatch):
     monkeypatch.setenv(words.CLOSURE_CAP_ENV, "2")
     with pytest.raises(ClosureTooLarge):
