@@ -17,6 +17,17 @@ import sys
 from . import classify, conjecture, heaps, rings, serialize, tables, words
 from .errors import CfcError, WriteFailed
 
+# Answers and error objects are built per request and hold no cycle, so the
+# encoder need not keep a marker for each container it enters.
+_encode = json.JSONEncoder(check_circular=False).encode
+
+
+def _unsigned_int(text: str) -> int:
+    # a rank of 0 passes here and is answered by words.check_rank
+    with contextlib.suppress(ValueError):
+        return words.ascii_int(text)
+    raise argparse.ArgumentTypeError(f"must be an unsigned integer, got {text!r}")
+
 
 def _positive_int(text: str) -> int:
     with contextlib.suppress(ValueError):
@@ -26,7 +37,7 @@ def _positive_int(text: str) -> int:
 
 
 def _add_rank(parser, max_rank=False):
-    parser.add_argument("--rank", type=words.ascii_int, required=True, help="number of generators")
+    parser.add_argument("--rank", type=_unsigned_int, required=True, help="number of generators")
     if max_rank:
         parser.add_argument("--max-rank", type=_positive_int, default=None)
 
@@ -101,10 +112,10 @@ def _dispatch(args) -> dict | str:
             if text:
                 return f"{len(elements)}\n"
             return {"rank": args.rank, "kind": args.kind, "count": len(elements)}
-        ordered = sorted(elements, key=lambda w: (len(w), w))
+        ordered = sorted(sorted(elements), key=len)  # by length, then lexicographically
         if text:
             return "\n".join(serialize.format_word_text(w, args.rank) for w in ordered) + "\n"
-        return {"rank": args.rank, "kind": args.kind, "elements": [list(w) for w in ordered]}
+        return {"rank": args.rank, "kind": args.kind, "elements": ordered}
 
     if args.command == "classify":
         word = serialize.parse_word_text(args.word, args.rank)
@@ -189,13 +200,13 @@ def run(argv) -> int:
     try:
         answer = _dispatch(args)
     except CfcError as exc:
-        print(json.dumps(serialize.error_to_obj(exc)))
+        print(_encode(serialize.error_to_obj(exc)))
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if isinstance(answer, str):
         sys.stdout.write(answer)
     else:
-        print(json.dumps(answer))
+        print(_encode(answer))
     return 0
 
 

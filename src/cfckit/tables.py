@@ -2,11 +2,14 @@
 commutation class.
 
 The leaves of a table partition every reduced expression of every CFC
-element of the rank.  The elements come from ``classify.enumerate_cfc``,
-so they are CFC by construction and none is checked again.  Each is grouped
-by its class key (``classify.class_key``): the ring sizes fix the conjugacy
-class, and the sorted support the cyclic class.  Each leaf lists the linear
-extensions of the element's heap, which are its reduced expressions.
+element of the rank.  In type A those are exactly the words over 1..rank
+with no repeated letter, so ``words.distinct_letter_classes`` builds every
+leaf in one pass over them, grouped by heap and already sorted, and a cap
+error comes before any element is grouped.  The elements come from
+``classify.enumerate_cfc``, so they are CFC by construction and none is
+checked again.  Each is grouped by its class key (``classify.class_key``):
+the ring sizes fix the conjugacy class, and the sorted support the cyclic
+class.  Each element's leaf is the one under its ``words.heap_key``.
 """
 
 from __future__ import annotations
@@ -50,8 +53,10 @@ def class_table(rank: int, max_rank: int = classify.ENUM_RANK_CAP) -> ClassTable
     >>> class_table(1).element_count()
     2
     """
+    elements = classify.enumerate_cfc(rank, max_rank=max_rank)
+    leaves = words.distinct_letter_classes(rank)
     by_conjugacy: dict[tuple[int, ...], dict[Word, list[Word]]] = {}
-    for element in classify.enumerate_cfc(rank, max_rank=max_rank):
+    for element in elements:
         sizes, canonical = classify.class_key(element)
         by_conjugacy.setdefault(sizes, {}).setdefault(canonical, []).append(element)
     groups = []
@@ -59,9 +64,7 @@ def class_table(rank: int, max_rank: int = classify.ENUM_RANK_CAP) -> ClassTable
         cyclic_groups = []
         for canonical in sorted(cyclic_map):
             members = sorted(cyclic_map[canonical])
-            expression_lists = tuple(
-                tuple(sorted(words.linear_extensions(m, "commutation_class"))) for m in members
-            )
+            expression_lists = tuple(tuple(leaves[words.heap_key(m)]) for m in members)
             cyclic_groups.append(CyclicClassGroup(canonical, expression_lists))
         groups.append(ConjugacyClassGroup(sizes, tuple(cyclic_groups)))
     groups.sort(key=lambda g: (sum(g.ring_sizes), g.cyclic_classes[0].canonical_word))

@@ -78,6 +78,14 @@ def test_class_table_trusts_the_elements_it_generates(calls):
     assert calls["require_cfc"] == calls["require_reduced"] == calls["to_permutation"] == 0
 
 
+def test_class_table_builds_its_leaves_in_one_pass(monkeypatch):
+    # every leaf comes out of words.distinct_letter_classes, already sorted,
+    # so no element's commutation class is built on its own
+    counts = _count(monkeypatch, [(words, "linear_extensions")])
+    assert tables.class_table(5).element_count() == 89
+    assert counts == Counter()
+
+
 def test_conjecture_sweep_stays_on_permutations(calls):
     # one image per CFC word and one canonical word per predicate permutation,
     # F(2*rank+1) of each, and no input check: the words are CFC by

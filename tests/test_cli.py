@@ -106,6 +106,20 @@ def test_classtable_smoke(capsys):
     assert total == 34
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classtable", "--rank", "4"),
+        ("enumerate", "--kind", "cfc", "--rank", "4"),
+        ("classify", "--rank", "4", "--word", "21324"),
+        ("classify", "--rank", "2", "--word", "11"),
+    ],
+)
+def test_json_prints_as_json_dumps_writes_it(capsys, argv):
+    out = invoke(capsys, *argv)[1]
+    assert out == json.dumps(json.loads(out)) + "\n"
+
+
 def test_conjecture_check_exits_zero(capsys):
     code, out, _ = invoke(capsys, "conjecture-check", "--rank", "3")
     assert code == 0
@@ -144,6 +158,9 @@ def test_rank_that_is_not_ascii_digits_is_a_usage_error(capsys, bad):
     assert code == 2
     assert out == ""
     assert "--rank" in err
+    assert err.splitlines()[-1] == (
+        f"cfckit counts: error: argument --rank: must be an unsigned integer, got {bad!r}"
+    )
 
 
 @pytest.mark.parametrize("bad", ["+1_0", "1_0", "\u0663", "abc", "+10"])

@@ -1,7 +1,9 @@
+import time
+
 import pytest
 
 from cfckit import classify, perms, tables, words
-from cfckit.errors import RankTooLarge
+from cfckit.errors import ClosureTooLarge, RankTooLarge
 
 from oracles import class_table_by_oracles
 
@@ -72,6 +74,32 @@ def test_conjugacy_grouping_matches_cycle_types():
 def test_table_rank_cap():
     with pytest.raises(RankTooLarge):
         tables.class_table(3, max_rank=2)
+
+
+@pytest.mark.parametrize(
+    "rank, max_rank, largest, budget_s", [(5, 9, 16, 10.0), (10, 10, 1000, 1.0)]
+)
+def test_table_stops_at_the_closure_cap(monkeypatch, rank, max_rank, largest, budget_s):
+    # past the cap, the leaf pass stops before any element is grouped; at
+    # rank 5 the largest leaf holds 16 words, so a cap of 16 lets it through
+    monkeypatch.setenv(words.CLOSURE_CAP_ENV, str(largest - 1))
+    start = time.perf_counter()
+    with pytest.raises(ClosureTooLarge) as info:
+        tables.class_table(rank, max_rank=max_rank)
+    assert time.perf_counter() - start < budget_s
+    assert str(info.value) == (
+        f"commutation_class: visited {largest} reduced words, past the cap of {largest - 1}"
+    )
+    if rank == 5:
+        monkeypatch.setenv(words.CLOSURE_CAP_ENV, str(largest))
+        table = tables.class_table(rank)
+        leaves = [
+            cls
+            for group in table.conjugacy_classes
+            for cyc in group.cyclic_classes
+            for cls in cyc.commutation_classes
+        ]
+        assert (len(leaves), max(map(len, leaves))) == (89, largest)
 
 
 @pytest.mark.parametrize("rank", range(1, 8))

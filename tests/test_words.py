@@ -170,6 +170,25 @@ def test_commutation_class_builder_stops_at_the_cap(monkeypatch):
     assert peak < 5 * 2**20
 
 
+@pytest.mark.parametrize("rank, distinct, fibonacci", [
+    (1, 2, 2), (2, 5, 5), (3, 16, 13), (4, 65, 34), (5, 326, 89), (6, 1957, 233),
+    (7, 13700, 610), (8, 109601, 1597),
+])
+def test_distinct_letter_classes_are_the_sorted_commutation_classes(rank, distinct, fibonacci):
+    # the leaves of a class table: F(2*rank+1) heaps, one per CFC element
+    classes = words.distinct_letter_classes(rank)
+    listed = [w for leaf in classes.values() for w in leaf]
+    letters = range(1, rank + 1)
+    every = {w for k in range(rank + 1) for w in itertools.permutations(letters, k)}
+    assert len(listed) == len(set(listed)) == len(every) == distinct
+    assert set(listed) == every
+    assert len(classes) == fibonacci
+    for key, leaf in classes.items():
+        assert all(u < v for u, v in zip(leaf, leaf[1:]))
+        assert leaf == sorted(words.linear_extensions(leaf[0], "demo"))
+        assert words.heap_key(leaf[0]) == key
+
+
 def reduced_words(rank, max_length):
     """Every reduced word of length at most max_length, by length."""
     level = [()]

@@ -35,7 +35,9 @@ DEFAULT_KERNELS = (
     "check_conjecture(10, max_rank=10)",
     "enumerate_cfc(9)",
     "enumerate_coxeter(9)",
+    "class_table(6)",
     "class_table(7)",
+    "class_table(8)",
 )
 
 # One side: read a kernel per line, run it, answer with the seconds it took.
