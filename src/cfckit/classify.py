@@ -22,9 +22,9 @@ directly.  A CFC element uses each support generator once, so its runs are
 disjoint: its support cut after each g that precedes g+1, each piece
 decreasing, over increasing, disjoint intervals [a, b], which for the
 Coxeter elements cover 1..rank.  The lazy ``_interval_words`` writes them
-down, the package's one construction of the CFC elements, for
-:func:`enumerate_cfc`, :func:`enumerate_coxeter`, class tables and the
-conjecture sweep:
+down for :func:`enumerate_cfc`, :func:`enumerate_coxeter` and the
+conjecture sweep (class tables, which list every reduced word, read each
+element off its leaf of ``words.distinct_letter_classes`` instead):
 
 >>> sorted(enumerate_coxeter(3))
 [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]

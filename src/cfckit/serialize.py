@@ -179,7 +179,8 @@ def certificate_from_obj(obj: dict) -> rings.ConjugacyCertificate:
     """Load a certificate after checking it again, on its letters relabelled
     so that neighbours stay neighbours and each gap becomes one unused
     letter: they generate an isomorphic parabolic subgroup, and the check
-    runs in at most twice as many letters as the certificate uses."""
+    runs in at most twice as many letters as the certificate uses.  The
+    letters keep their order, so a word is canonical iff its relabelling is."""
     source, target, conjugator = (_ints(obj[key]) for key in ("source", "target", "conjugator"))
     label, top = {}, -1
     for g in sorted(set(source + target + conjugator)):
@@ -187,10 +188,11 @@ def certificate_from_obj(obj: dict) -> rings.ConjugacyCertificate:
             raise InvalidGenerator(f"generator {g} is below 1")
         top += 1 if g - 1 in label else 2
         label[g] = top
-    p_source, p_target, p_x = (
-        perms.to_permutation(tuple(label[g] for g in w), max(top, 1))
-        for w in (source, target, conjugator)
-    )
+    relabelled = [tuple(label[g] for g in w) for w in (source, target, conjugator)]
+    p_source, p_target, p_x = (perms.to_permutation(w, max(top, 1)) for w in relabelled)
+    for word, w, p in zip((source, target), relabelled, (p_source, p_target)):
+        if perms.word_from_permutation(p) != w:
+            raise InvalidObject(f"{list(word)} is not a canonical word")
     if perms.conjugate(p_source, p_x) != p_target:
         raise InvalidObject(
             f"conjugator {list(conjugator)} does not carry {list(source)} to {list(target)}"
@@ -284,8 +286,9 @@ def class_table_from_obj(obj: dict) -> tables.ClassTable:
     """Load a class table after checking each element it lists: a CFC word
     whose commutation class is its leaf list, whose sorted support is the
     canonical word above it and whose chunk sizes are the group's ring sizes.
-    Every class must list an element, and no element may be listed twice.
-    The cost follows the leaves, not the declared rank."""
+    Every class must list an element, and no element, ring-size multiset or
+    canonical word may be listed twice: the sorted support fixes both
+    classes.  The cost follows the leaves, not the declared rank."""
     rank = _typed(obj["rank"], int)
     words.check_rank(rank)
     groups = []
@@ -300,11 +303,18 @@ def class_table_from_obj(obj: dict) -> tables.ClassTable:
             for cyc in group["cyclic_classes"]
         )
         groups.append(tables.ConjugacyClassGroup(_ints(group["ring_size_multiset"]), cyclic))
-    listed = set()  # the first word of each leaf, which names its element
+    # the first word of each leaf, which names its element, and each class name
+    listed, listed_sizes, listed_canonical = set(), set(), set()
     for group in groups:
         if not group.cyclic_classes:
             raise InvalidObject(f"ring sizes {list(group.ring_sizes)} list no cyclic class")
+        if group.ring_sizes in listed_sizes:
+            raise InvalidObject(f"ring sizes {list(group.ring_sizes)} are listed twice")
+        listed_sizes.add(group.ring_sizes)
         for cyc in group.cyclic_classes:
+            if cyc.canonical_word in listed_canonical:
+                raise InvalidObject(f"canonical word {list(cyc.canonical_word)} is listed twice")
+            listed_canonical.add(cyc.canonical_word)
             if not cyc.commutation_classes:
                 raise InvalidObject(f"the cyclic class of {list(cyc.canonical_word)} lists no element")
             for expressions in cyc.commutation_classes:

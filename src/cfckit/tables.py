@@ -3,13 +3,13 @@ commutation class.
 
 The leaves of a table partition every reduced expression of every CFC
 element of the rank.  In type A those are exactly the words over 1..rank
-with no repeated letter, so ``words.distinct_letter_classes`` builds every
-leaf in one pass over them, grouped by heap and already sorted, and a cap
-error comes before any element is grouped.  The elements come from
-``classify.enumerate_cfc``, so they are CFC by construction and none is
-checked again.  Each is grouped by its class key (``classify.class_key``):
-the ring sizes fix the conjugacy class, and the sorted support the cyclic
-class.  Each element's leaf is the one under its ``words.heap_key``.
+with no repeated letter, so each CFC element is one leaf of
+``words.distinct_letter_classes``, which builds them all in one pass, each
+sorted, and a cap error comes before any element is grouped.  The leaves
+are CFC by construction and none is checked again.  Each is grouped by the
+class key of its first word, the element's canonical word
+(``classify.class_key``): the ring sizes fix the conjugacy class, and the
+sorted support the cyclic class.
 """
 
 from __future__ import annotations
@@ -53,19 +53,17 @@ def class_table(rank: int, max_rank: int = classify.ENUM_RANK_CAP) -> ClassTable
     >>> class_table(1).element_count()
     2
     """
-    elements = classify.enumerate_cfc(rank, max_rank=max_rank)
-    leaves = words.distinct_letter_classes(rank)
-    by_conjugacy: dict[tuple[int, ...], dict[Word, list[Word]]] = {}
-    for element in elements:
-        sizes, canonical = classify.class_key(element)
-        by_conjugacy.setdefault(sizes, {}).setdefault(canonical, []).append(element)
-    groups = []
-    for sizes, cyclic_map in by_conjugacy.items():
-        cyclic_groups = []
-        for canonical in sorted(cyclic_map):
-            members = sorted(cyclic_map[canonical])
-            expression_lists = tuple(tuple(leaves[words.heap_key(m)]) for m in members)
-            cyclic_groups.append(CyclicClassGroup(canonical, expression_lists))
-        groups.append(ConjugacyClassGroup(sizes, tuple(cyclic_groups)))
+    classify._check_enum_rank(rank, max_rank)
+    by_conjugacy: dict[tuple[int, ...], dict[Word, list[tuple[Word, ...]]]] = {}
+    for leaf in words.distinct_letter_classes(rank):
+        sizes, canonical = classify.class_key(leaf[0])
+        by_conjugacy.setdefault(sizes, {}).setdefault(canonical, []).append(leaf)
+    groups = [
+        ConjugacyClassGroup(
+            sizes,
+            tuple(CyclicClassGroup(c, tuple(sorted(cyclic_map[c]))) for c in sorted(cyclic_map)),
+        )
+        for sizes, cyclic_map in by_conjugacy.items()
+    ]
     groups.sort(key=lambda g: (sum(g.ring_sizes), g.cyclic_classes[0].canonical_word))
     return ClassTable(rank, tuple(groups))

@@ -16,11 +16,10 @@ orbit and the word-level FC/CFC routes run through it.  Commutation classes
 are built, not walked: one at a time by :func:`linear_extensions`, and all
 the classes of the words with no repeated letter (the reduced expressions
 of the CFC elements, the leaves of a class table) at once by
-:func:`distinct_letter_classes`, one depth-first pass that groups each word
-under its :func:`heap_key`.  All three are exponential in the worst case,
-so each holds at most the word cap set by the ``CFC_MAX_CLOSURE``
-environment variable (default 10**6), and past it raises ClosureTooLarge
-naming the operation.
+:func:`distinct_letter_classes`, one depth-first pass that files each word
+under its heap.  All three are exponential in the worst case, so each holds
+at most the word cap set by the ``CFC_MAX_CLOSURE`` environment variable
+(default 10**6), and past it raises ClosureTooLarge naming the operation.
 """
 
 from __future__ import annotations
@@ -217,35 +216,21 @@ def linear_extensions(word: Word, operation: str) -> list[Word]:
     return level
 
 
-def heap_key(word: Word) -> tuple[int, int]:
-    """
-    The heap of a word with no repeated letter, as two bitmasks: its
-    support, and the g that precede g+1 in it.  Two such words are
-    commutation equivalent iff their keys are equal.
-
-    >>> heap_key((2, 1, 3)) == heap_key((2, 3, 1)) != heap_key((1, 2, 3))
-    True
-    """
-    support = up = 0
-    for a in word:
-        up |= support & (1 << (a - 1))
-        support |= 1 << a
-    return support, up
-
-
-def distinct_letter_classes(rank: int) -> dict[tuple[int, int], list[Word]]:
+def distinct_letter_classes(rank: int) -> list[tuple[Word, ...]]:
     """
     Every word over 1..rank with no repeated letter, grouped into its
-    commutation class under its :func:`heap_key`, in one depth-first pass.
-    The pass pops words in lexicographic order and files each one's
-    children as it pops it, so the words of each length, and with them each
-    class, come in lexicographic order: each class comes out sorted, its
-    first word least.  Past :func:`closure_cap` words in one class it
-    raises ClosureTooLarge naming ``commutation_class``.
+    commutation class in one depth-first pass, which files each word under
+    its heap: two bitmasks, its support and the g that precede g+1 in it,
+    each updated in O(1) per appended letter.  The pass pops words in
+    lexicographic order and files each one's children as it pops it, so the
+    words of each length, and with them each class, come in lexicographic
+    order: each class comes out a sorted tuple, its first word least.  Past
+    :func:`closure_cap` words in one class it raises ClosureTooLarge naming
+    ``commutation_class``.
 
-    >>> classes = distinct_letter_classes(3)
-    >>> len(classes), sorted(leaf for leaf in classes.values() if len(leaf) > 1)
-    (13, [[(1, 3), (3, 1)], [(1, 3, 2), (3, 1, 2)], [(2, 1, 3), (2, 3, 1)]])
+    >>> leaves = distinct_letter_classes(3)
+    >>> len(leaves), sorted(leaf for leaf in leaves if len(leaf) > 1)
+    (13, [((1, 3), (3, 1)), ((1, 3, 2), (3, 1, 2)), ((2, 1, 3), (2, 3, 1))])
     """
     cap = closure_cap()
     full = (1 << (rank + 1)) - 2
@@ -275,7 +260,8 @@ def distinct_letter_classes(rank: int) -> dict[tuple[int, int], list[Word]]:
                 raise _past_cap("commutation_class", cap)
             if grown != full:  # a word with every letter has no children
                 stack.append((child, grown, key[1]))
-    return classes
+    # each class list goes as its tuple comes, so the two never all coexist
+    return [tuple(classes.popitem()[1]) for _ in range(len(classes))]
 
 
 def iter_reduced_expressions(word, rank: int, operation: str = "reduced_expressions") -> Iterator[Word]:

@@ -140,16 +140,30 @@ _SMALL_WORDS = st.lists(st.integers(1, 12), max_size=5)
 
 
 @settings(max_examples=200, deadline=None)
-@given(source=_SMALL_WORDS, target=_SMALL_WORDS, conjugator=_SMALL_WORDS, conjugate=st.booleans())
+@given(
+    source=_SMALL_WORDS,
+    target=_SMALL_WORDS,
+    conjugator=_SMALL_WORDS,
+    canonical=st.booleans(),
+    conjugate=st.booleans(),
+)
 def test_certificate_loader_agrees_with_the_check_at_the_largest_letter(
-    source, target, conjugator, conjugate
+    source, target, conjugator, canonical, conjugate
 ):
-    # the oracle: the same check in the degree of the largest letter
+    # the oracle: the same check in the degree of the largest letter, with
+    # the source and the target canonical words there
     rank = max(source + target + conjugator, default=1)
     p_source, p_x = (perms.to_permutation(w, rank) for w in (source, conjugator))
+    if canonical:
+        source = list(perms.word_from_permutation(p_source))
     if conjugate:
         target = list(perms.word_from_permutation(perms.conjugate(p_source, p_x)))
-    expected = perms.conjugate(p_source, p_x) == perms.to_permutation(target, rank)
+    p_target = perms.to_permutation(target, rank)
+    expected = (
+        perms.conjugate(p_source, p_x) == p_target
+        and perms.word_from_permutation(p_source) == tuple(source)
+        and perms.word_from_permutation(p_target) == tuple(target)
+    )
     obj = {"source": source, "target": target, "conjugator": conjugator}
     try:
         loaded = serialize.certificate_from_obj(obj)
@@ -429,6 +443,46 @@ CONTRADICTED = {
         serialize.class_table_from_obj,
         _table(lambda g: g[(2,)].update(ring_size_multiset=[1, 1])),
         "chunk sizes",
+    ),
+    "table-ring-sizes-in-two-groups": (
+        serialize.class_table_from_obj,
+        {
+            "rank": 2,
+            "conjugacy_classes": [
+                {
+                    "ring_size_multiset": [1],
+                    "cyclic_classes": [{"canonical_word": [g], "commutation_classes": [[[g]]]}],
+                }
+                for g in (1, 2)
+            ],
+        },
+        r"ring sizes \[1\] are listed twice",
+    ),
+    "table-canonical-word-in-two-cyclic-classes": (
+        serialize.class_table_from_obj,
+        {
+            "rank": 2,
+            "conjugacy_classes": [
+                {
+                    "ring_size_multiset": [2],
+                    "cyclic_classes": [
+                        {"canonical_word": [1, 2], "commutation_classes": [[leaf]]}
+                        for leaf in ([1, 2], [2, 1])
+                    ],
+                }
+            ],
+        },
+        r"canonical word \[1, 2\] is listed twice",
+    ),
+    "certificate-unreduced-source": (
+        serialize.certificate_from_obj,
+        {"source": [1, 1], "target": [], "conjugator": []},
+        r"\[1, 1\] is not a canonical word",
+    ),
+    "certificate-non-canonical-source": (
+        serialize.certificate_from_obj,
+        {"source": [3, 1], "target": [1, 3], "conjugator": []},
+        r"\[3, 1\] is not a canonical word",
     ),
 }
 

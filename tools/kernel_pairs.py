@@ -35,6 +35,7 @@ DEFAULT_KERNELS = (
     "check_conjecture(10, max_rank=10)",
     "enumerate_cfc(9)",
     "enumerate_coxeter(9)",
+    "class_table(5)",
     "class_table(6)",
     "class_table(7)",
     "class_table(8)",
