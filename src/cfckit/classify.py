@@ -32,6 +32,7 @@ element off its leaf of ``words.distinct_letter_classes`` instead):
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -254,3 +255,42 @@ def enumerate_coxeter(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Wor
     """
     _check_enum_rank(rank, max_rank)
     return frozenset(_interval_words(rank, cover=True))
+
+
+def count_fc(rank: int) -> int:
+    """
+    The number of FC elements, Catalan(rank+1) (Billey-Jockusch-Stanley
+    1993), by its closed form: no element is built.
+
+    >>> [count_fc(r) for r in range(1, 6)]
+    [2, 5, 14, 42, 132]
+    """
+    words.check_rank(rank)
+    return math.comb(2 * rank + 2, rank + 1) // (rank + 2)
+
+
+def count_cfc(rank: int) -> int:
+    """
+    The number of CFC elements, the Fibonacci number F(2*rank+1) (Boothby
+    et al. 2012), by its recurrence: no element is built.
+
+    >>> [count_cfc(r) for r in range(1, 6)]
+    [2, 5, 13, 34, 89]
+    """
+    words.check_rank(rank)
+    previous, current = 0, 1  # F(0), F(1)
+    for _ in range(2 * rank):
+        previous, current = current, previous + current
+    return current
+
+
+def count_coxeter(rank: int) -> int:
+    """
+    The number of Coxeter elements, 2^(rank-1): one per orientation of the
+    rank-1 edges of the path.  No element is built.
+
+    >>> [count_coxeter(r) for r in range(1, 6)]
+    [1, 2, 4, 8, 16]
+    """
+    words.check_rank(rank)
+    return 2 ** (rank - 1)

@@ -101,17 +101,26 @@ _ENUMERATORS = {
     "cfc": classify.enumerate_cfc,
     "coxeter": classify.enumerate_coxeter,
 }
+_COUNTERS = {
+    "fc": classify.count_fc,
+    "cfc": classify.count_cfc,
+    "coxeter": classify.count_coxeter,
+}
 
 
 def _dispatch(args) -> dict | str:
     """The answer as it prints: a JSON object, or the text (or drawing) to write."""
     text = args.format == "text"
-    if args.command in ("enumerate", "counts"):
+    if args.command == "counts":
+        # closed forms build no element; the enumerators' rank cap still applies
+        classify._check_enum_rank(args.rank, _cap(args, classify.ENUM_RANK_CAP))
+        count = _COUNTERS[args.kind](args.rank)
+        if text:
+            return f"{count}\n"
+        return {"rank": args.rank, "kind": args.kind, "count": count}
+
+    if args.command == "enumerate":
         elements = _ENUMERATORS[args.kind](args.rank, max_rank=_cap(args, classify.ENUM_RANK_CAP))
-        if args.command == "counts":
-            if text:
-                return f"{len(elements)}\n"
-            return {"rank": args.rank, "kind": args.kind, "count": len(elements)}
         ordered = sorted(sorted(elements), key=len)  # by length, then lexicographically
         if text:
             return "\n".join(serialize.format_word_text(w, args.rank) for w in ordered) + "\n"

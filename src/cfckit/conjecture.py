@@ -5,6 +5,9 @@ value that is a local peak or valley among its written neighbors.  The
 scan walks the written sequence only: the first entry anchors the cycle
 and the seam back to it is not read, a reading fixed by the worked
 examples (12435) -> {4, 3} and (14352) -> {4, 3, 5}.
+:func:`direction_changes` and :func:`has_connected_support` state the
+definitions cycle by cycle; :func:`conjecture_predicate` decides the same
+in one pass over the one-line form.
 
 The conjectured characterization (every cycle has connected support and
 at most one direction change iff the element is CFC) is open; the checker
@@ -87,16 +90,43 @@ def conjecture_predicate(p: Perm) -> bool:
     True iff every nontrivial cycle of ``p`` has connected support and at
     most one direction change.
 
+    One pass over the one-line form walks each cycle once, from its least
+    entry, keeping its maximum, its size and whether it has fallen yet.
+    The walk leaves its least entry rising, so a cycle has at most one
+    direction change iff it never rises after a fall: the second change
+    ends the pass with False.  The last step, the seam back to the least
+    entry, is a fall, so it can add no second change and no change is read
+    at the least entry.  The support is an interval iff the size is the
+    span from the least entry to the maximum; a gap ends the pass with
+    False.  After an interval the next cycle starts just past its maximum.
+
     >>> conjecture_predicate((2, 3, 4, 5, 1))
     True
     >>> conjecture_predicate(perms.from_cycles([(1, 4, 3, 5, 2)], 5))
     False
+    >>> conjecture_predicate(perms.from_cycles([(1, 3), (2, 4)], 4))
+    False
     """
-    for cycle in perms.cycles(p):
-        if not has_connected_support(cycle):
+    degree = len(p)
+    start = 1  # the least entry of the next cycle: every smaller one is settled
+    while start <= degree:
+        top, size, fallen = start, 1, False
+        v = p[start - 1]
+        while v != start:
+            size += 1
+            if size > degree:
+                raise ValueError(f"{list(p)} is not a permutation")
+            if v > top:
+                top = v
+            after = p[v - 1]
+            if after < v:
+                fallen = True
+            elif fallen:
+                return False
+            v = after
+        if size != top - start + 1:
             return False
-        if len(direction_changes(cycle)) > 1:
-            return False
+        start = top + 1
     return True
 
 

@@ -261,17 +261,27 @@ def report_from_obj(obj: dict) -> conjecture.ConjectureReport:
 
 
 def class_table_to_obj(table: tables.ClassTable) -> dict:
+    """The table as an object for ``json``, which writes a tuple as an array:
+    its words and ring sizes go in as the table's own tuples, uncopied, so
+    the object costs one dict per class and its encoding reads the same as
+    with lists.  Load it back from the JSON text; the loader takes lists.
+
+    >>> import json
+    >>> group = class_table_to_obj(tables.class_table(1))["conjugacy_classes"][1]
+    >>> group["ring_size_multiset"], group["cyclic_classes"][0]["commutation_classes"]
+    ((1,), (((1,),),))
+    >>> json.dumps(group["cyclic_classes"])
+    '[{"canonical_word": [1], "commutation_classes": [[[1]]]}]'
+    """
     return {
         "rank": table.rank,
         "conjugacy_classes": [
             {
-                "ring_size_multiset": list(group.ring_sizes),
+                "ring_size_multiset": group.ring_sizes,
                 "cyclic_classes": [
                     {
-                        "canonical_word": list(cyc.canonical_word),
-                        "commutation_classes": [
-                            [list(w) for w in cls] for cls in cyc.commutation_classes
-                        ],
+                        "canonical_word": cyc.canonical_word,
+                        "commutation_classes": cyc.commutation_classes,
                     }
                     for cyc in group.cyclic_classes
                 ],
@@ -287,8 +297,10 @@ def class_table_from_obj(obj: dict) -> tables.ClassTable:
     whose commutation class is its leaf list, whose sorted support is the
     canonical word above it and whose chunk sizes are the group's ring sizes.
     Every class must list an element, and no element, ring-size multiset or
-    canonical word may be listed twice: the sorted support fixes both
-    classes.  The cost follows the leaves, not the declared rank."""
+    canonical word may be listed twice.  The sorted support fixes both
+    classes, so an element can sit only under its own canonical word and a
+    repeat is looked for within each cyclic class.  The cost follows the
+    leaves, not the declared rank."""
     rank = _typed(obj["rank"], int)
     words.check_rank(rank)
     groups = []
@@ -303,8 +315,7 @@ def class_table_from_obj(obj: dict) -> tables.ClassTable:
             for cyc in group["cyclic_classes"]
         )
         groups.append(tables.ConjugacyClassGroup(_ints(group["ring_size_multiset"]), cyclic))
-    # the first word of each leaf, which names its element, and each class name
-    listed, listed_sizes, listed_canonical = set(), set(), set()
+    listed_sizes, listed_canonical = set(), set()
     for group in groups:
         if not group.cyclic_classes:
             raise InvalidObject(f"ring sizes {list(group.ring_sizes)} list no cyclic class")
@@ -317,6 +328,7 @@ def class_table_from_obj(obj: dict) -> tables.ClassTable:
             listed_canonical.add(cyc.canonical_word)
             if not cyc.commutation_classes:
                 raise InvalidObject(f"the cyclic class of {list(cyc.canonical_word)} lists no element")
+            listed = set()  # the first word of each leaf, which names its element
             for expressions in cyc.commutation_classes:
                 _check_leaf(expressions, cyc.canonical_word, group.ring_sizes)
                 if expressions[0] in listed:

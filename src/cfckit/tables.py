@@ -6,10 +6,10 @@ element of the rank.  In type A those are exactly the words over 1..rank
 with no repeated letter, so each CFC element is one leaf of
 ``words.distinct_letter_classes``, which builds them all in one pass, each
 sorted, and a cap error comes before any element is grouped.  The leaves
-are CFC by construction and none is checked again.  Each is grouped by the
-class key of its first word, the element's canonical word
-(``classify.class_key``): the ring sizes fix the conjugacy class, and the
-sorted support the cyclic class.
+are CFC by construction and none is checked again.  The leaves are filed
+by support, and each support gets one class key (``classify.class_key``),
+at most 2^rank of them: the ring sizes fix the conjugacy class, and the
+sorted support, the cyclic class, so each support is one cyclic class.
 """
 
 from __future__ import annotations
@@ -54,16 +54,16 @@ def class_table(rank: int, max_rank: int = classify.ENUM_RANK_CAP) -> ClassTable
     2
     """
     classify._check_enum_rank(rank, max_rank)
-    by_conjugacy: dict[tuple[int, ...], dict[Word, list[tuple[Word, ...]]]] = {}
+    by_support: dict[frozenset[int], list[tuple[Word, ...]]] = {}
     for leaf in words.distinct_letter_classes(rank):
-        sizes, canonical = classify.class_key(leaf[0])
-        by_conjugacy.setdefault(sizes, {}).setdefault(canonical, []).append(leaf)
+        by_support.setdefault(frozenset(leaf[0]), []).append(leaf)
+    by_conjugacy: dict[tuple[int, ...], list[CyclicClassGroup]] = {}
+    for leaves in by_support.values():
+        sizes, canonical = classify.class_key(leaves[0][0])
+        by_conjugacy.setdefault(sizes, []).append(CyclicClassGroup(canonical, tuple(sorted(leaves))))
     groups = [
-        ConjugacyClassGroup(
-            sizes,
-            tuple(CyclicClassGroup(c, tuple(sorted(cyclic_map[c]))) for c in sorted(cyclic_map)),
-        )
-        for sizes, cyclic_map in by_conjugacy.items()
+        ConjugacyClassGroup(sizes, tuple(sorted(cyclic, key=lambda c: c.canonical_word)))
+        for sizes, cyclic in by_conjugacy.items()
     ]
     groups.sort(key=lambda g: (sum(g.ring_sizes), g.cyclic_classes[0].canonical_word))
     return ClassTable(rank, tuple(groups))

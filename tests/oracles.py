@@ -3,7 +3,8 @@
 Everything here is deliberately naive: breadth-first search in the Cayley
 graph for lengths, itertools scans for patterns, full conjugation sweeps
 for conjugacy, sweeps of the whole symmetric group for FC enumeration
-and the conjecture check, the plain 321-avoider search (every
+and the conjecture check, the cycle-shape predicate read cycle by cycle,
+the plain 321-avoider search (every
 321-avoider, lifted to its word), the earlier listing kernels (linear
 extensions by a heap queue, the lift that rescans from generator 1, the
 breadth-first commutation walk), the word-level FC / CFC routes that
@@ -188,6 +189,15 @@ def iter_321_avoiding(degree):
 def fc_words_by_321_avoiders(rank):
     """Canonical words of the FC elements, by lifting every 321-avoider."""
     return frozenset(perms.word_from_permutation(p) for p in iter_321_avoiding(rank + 1))
+
+
+def conjecture_predicate_by_cycles(p):
+    """The cycle-shape predicate as stated, cycle by cycle: every nontrivial
+    cycle has connected support and at most one direction change."""
+    return all(
+        conjecture.has_connected_support(cycle) and len(conjecture.direction_changes(cycle)) <= 1
+        for cycle in perms.cycles(p)
+    )
 
 
 def conjecture_report_by_sweep(rank):

@@ -92,6 +92,23 @@ def test_class_table_builds_its_leaves_in_one_pass(monkeypatch):
     assert counts == Counter(distinct_letter_classes=1)
 
 
+def test_counts_build_no_element(monkeypatch):
+    # counts are closed forms; only a listing runs an enumerator
+    kinds = ("fc", "cfc", "coxeter")
+    counts = _count(monkeypatch, [(classify, f"enumerate_{kind}") for kind in kinds])
+    for kind in kinds:
+        monkeypatch.setitem(cli._ENUMERATORS, kind, getattr(classify, f"enumerate_{kind}"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        for kind in kinds:
+            for rank in range(1, 10):
+                for fmt in ((), ("--format", "text")):
+                    assert cli.run([*fmt, "counts", "--kind", kind, "--rank", str(rank)]) == 0
+        assert counts == Counter()
+        for kind in kinds:
+            assert cli.run(["enumerate", "--kind", kind, "--rank", "3"]) == 0
+    assert counts == Counter(enumerate_fc=1, enumerate_cfc=1, enumerate_coxeter=1)
+
+
 def test_conjecture_sweep_stays_on_permutations(calls):
     # one image per CFC word and one canonical word per predicate permutation,
     # F(2*rank+1) of each, and no input check: the words are CFC by

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cfckit import classify, perms, words
-from cfckit.errors import ClosureTooLarge, NotReduced, RankTooLarge
+from cfckit.errors import ClosureTooLarge, InvalidGenerator, NotReduced, RankTooLarge
 
 from oracles import (
     CFC_ROUTES,
@@ -202,6 +202,19 @@ def test_interval_word_counts_and_lifts():
     for rank in range(1, 10):
         for w in classify.enumerate_cfc(rank):
             assert perms.word_from_permutation(perms.to_permutation(w, rank)) == w
+
+
+@pytest.mark.parametrize("rank", range(1, 10))
+def test_closed_form_counts_match_the_enumerators(rank):
+    assert classify.count_fc(rank) == len(classify.enumerate_fc(rank))
+    assert classify.count_cfc(rank) == len(classify.enumerate_cfc(rank))
+    assert classify.count_coxeter(rank) == len(classify.enumerate_coxeter(rank))
+
+
+def test_closed_form_counts_reject_rank_zero():
+    for count in (classify.count_fc, classify.count_cfc, classify.count_coxeter):
+        with pytest.raises(InvalidGenerator):
+            count(0)
 
 
 def test_enumerate_coxeter():

@@ -4,7 +4,7 @@ import shlex
 
 import pytest
 
-from cfckit import classify, cli, serialize
+from cfckit import classify, cli, serialize, tables
 from cfckit.cli import run
 
 
@@ -57,6 +57,16 @@ def test_counts_example(capsys):
     assert json.loads(out)["count"] == 14
 
 
+def test_counts_answer_past_the_enumerable_ranks(capsys):
+    # Catalan(21) FC elements: 2.4e10 words, counted without building one
+    argv = ("counts", "--kind", "fc", "--rank", "20", "--max-rank", "20")
+    code, out, err = invoke(capsys, "--format", "text", *argv)
+    assert (code, out) == (0, "24466267020\n")
+    assert "raising rank cap to 20" in err
+    code, out, _ = invoke(capsys, *argv)
+    assert json.loads(out) == {"rank": 20, "kind": "fc", "count": 24466267020}
+
+
 def test_enumerate_sorted_and_deterministic(capsys):
     code, out, _ = invoke(capsys, "enumerate", "--kind", "cfc", "--rank", "3")
     assert code == 0
@@ -104,6 +114,14 @@ def test_classtable_smoke(capsys):
         for cyc in group["cyclic_classes"]
     )
     assert total == 34
+
+
+@pytest.mark.parametrize("rank", range(1, 8))
+def test_classtable_output_loads_back_to_the_table(capsys, rank):
+    # the CLI encodes the table's tuples, the loader reads the lists of the text
+    code, out, _ = invoke(capsys, "classtable", "--rank", str(rank))
+    assert code == 0
+    assert serialize.class_table_from_obj(json.loads(out)) == tables.class_table(rank)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import pytest
 from cfckit import classify, conjecture, perms
 from cfckit.errors import RankTooLarge
 
-from oracles import conjecture_report_by_sweep
+from oracles import conjecture_predicate_by_cycles, conjecture_report_by_sweep
 
 
 def test_direction_changes_examples():
@@ -38,6 +38,18 @@ def test_conjecture_predicate_examples():
     assert conjecture.conjecture_predicate(perms.to_permutation((1, 2, 3, 4), 4))
     assert not conjecture.conjecture_predicate(perms.from_cycles([(1, 4, 3, 5, 2)], 5))
     assert conjecture.conjecture_predicate(perms.identity(5))
+
+
+def test_conjecture_predicate_rejects_a_non_permutation():
+    # a value hit twice never closes its cycle: the walk stops at the degree
+    with pytest.raises(ValueError, match="not a permutation"):
+        conjecture.conjecture_predicate((2, 2))
+
+
+@pytest.mark.parametrize("degree", range(1, 9))
+def test_one_pass_predicate_matches_the_cycle_by_cycle_oracle(degree):
+    for p in itertools.permutations(range(1, degree + 1)):
+        assert conjecture.conjecture_predicate(p) == conjecture_predicate_by_cycles(p), p
 
 
 def test_predicate_on_all_shift_images_of_a_coxeter_element():
