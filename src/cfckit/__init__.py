@@ -34,8 +34,6 @@ from .heaps import (
 )
 from .perms import (
     conjugate,
-    contains_321,
-    contains_3412,
     cycle_type,
     cycles,
     inversions,

@@ -33,7 +33,8 @@ element off its leaf of ``words.distinct_letter_classes`` instead):
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+import sys
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from . import perms, words
@@ -257,6 +258,20 @@ def enumerate_coxeter(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Wor
     return frozenset(_interval_words(rank, cover=True))
 
 
+def _printable(rank: int, count: Callable[[], int]) -> int:
+    """count(), unless its decimal form passes ``sys.get_int_max_str_digits()``
+    (0: no limit).  2^(rank-1), the least of the three counts, reaches that
+    power of ten once rank-1 reaches its bit length: such a rank raises
+    RankTooLarge before any count is computed."""
+    words.check_rank(rank)
+    if not (digits := sys.get_int_max_str_digits()):
+        return count()
+    bound = 10**digits
+    if rank - 1 < bound.bit_length() and (value := count()) < bound:
+        return value
+    raise RankTooLarge(f"count at rank {rank} has more than {digits} digits, the limit for printing an integer")
+
+
 def count_fc(rank: int) -> int:
     """
     The number of FC elements, Catalan(rank+1) (Billey-Jockusch-Stanley
@@ -265,8 +280,7 @@ def count_fc(rank: int) -> int:
     >>> [count_fc(r) for r in range(1, 6)]
     [2, 5, 14, 42, 132]
     """
-    words.check_rank(rank)
-    return math.comb(2 * rank + 2, rank + 1) // (rank + 2)
+    return _printable(rank, lambda: math.comb(2 * rank + 2, rank + 1) // (rank + 2))
 
 
 def count_cfc(rank: int) -> int:
@@ -277,11 +291,14 @@ def count_cfc(rank: int) -> int:
     >>> [count_cfc(r) for r in range(1, 6)]
     [2, 5, 13, 34, 89]
     """
-    words.check_rank(rank)
-    previous, current = 0, 1  # F(0), F(1)
-    for _ in range(2 * rank):
-        previous, current = current, previous + current
-    return current
+
+    def fibonacci() -> int:
+        previous, current = 0, 1  # F(0), F(1)
+        for _ in range(2 * rank):
+            previous, current = current, previous + current
+        return current
+
+    return _printable(rank, fibonacci)
 
 
 def count_coxeter(rank: int) -> int:
@@ -292,5 +309,4 @@ def count_coxeter(rank: int) -> int:
     >>> [count_coxeter(r) for r in range(1, 6)]
     [1, 2, 4, 8, 16]
     """
-    words.check_rank(rank)
-    return 2 ** (rank - 1)
+    return _printable(rank, lambda: 2 ** (rank - 1))

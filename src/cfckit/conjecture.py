@@ -30,6 +30,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import classify, perms
+from .errors import NotAPermutation
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
@@ -100,6 +101,10 @@ def conjecture_predicate(p: Perm) -> bool:
     span from the least entry to the maximum; a gap ends the pass with
     False.  After an interval the next cycle starts just past its maximum.
 
+    A value the walk reads below the cycle's least entry or past the
+    degree, or a cycle longer than the degree, raises NotAPermutation.  A
+    True answer reads every entry; a False one may stop before a fault.
+
     >>> conjecture_predicate((2, 3, 4, 5, 1))
     True
     >>> conjecture_predicate(perms.from_cycles([(1, 4, 3, 5, 2)], 5))
@@ -114,8 +119,8 @@ def conjecture_predicate(p: Perm) -> bool:
         v = p[start - 1]
         while v != start:
             size += 1
-            if size > degree:
-                raise ValueError(f"{list(p)} is not a permutation")
+            if not start < v <= degree or size > degree:
+                raise NotAPermutation(f"{list(p)} is not a permutation of 1..{degree}")
             if v > top:
                 top = v
             after = p[v - 1]

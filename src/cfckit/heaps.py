@@ -13,7 +13,8 @@ This module holds heap structure and drawing; it decides nothing that
 :mod:`classify` decides.  The chunks of a heap, the components of its Hasse
 diagram, are the runs of its support (``classify.support_runs``).  The
 forbidden-pattern scans that read FC and CFC off the stacked blocks, in a
-column and around the cylinder, are test oracles in ``tests/oracles.py``.
+column and around the cylinder, are test oracles in ``tests/oracles.py``,
+as is the comparison of two heaps as labeled posets.
 
 The cylinder view identifies top and bottom: cyclic shifts move a maximal
 block to the floor, and the equivalence class of a CFC heap under shifts
@@ -50,18 +51,6 @@ class Heap:
 
     def word(self) -> Word:
         return tuple(b.gen for b in self.blocks)
-
-    def structure(self):
-        """Canonical form comparing heaps as labeled posets, ignoring the
-        source order of blocks."""
-        order = sorted(range(len(self.blocks)), key=lambda i: (self.blocks[i].gen, self.blocks[i].level))
-        renum = {old: new for new, old in enumerate(order)}
-        blocks = tuple((self.blocks[i].gen, self.blocks[i].level) for i in order)
-        covers = frozenset((renum[a], renum[b]) for a, b in self.covers)
-        return (self.rank, blocks, covers)
-
-    def same_poset(self, other: "Heap") -> bool:
-        return self.structure() == other.structure()
 
     def maximal_blocks(self) -> tuple[Block, ...]:
         """The column tops that sit above both neighbouring column tops."""

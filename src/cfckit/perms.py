@@ -20,14 +20,6 @@ Perm = tuple[int, ...]
 Word = tuple[int, ...]
 
 
-def identity(degree: int) -> Perm:
-    """
-    >>> identity(4)
-    (1, 2, 3, 4)
-    """
-    return tuple(range(1, degree + 1))
-
-
 def is_one_line(seq) -> bool:
     """
     Check that ``seq`` is a permutation of 1..n in one-line notation.
@@ -100,6 +92,9 @@ def cycles(p: Perm) -> tuple[tuple[int, ...], ...]:
     Disjoint nontrivial cycles, each rotated so its minimum comes first,
     ordered by minimum.  Fixed points are omitted.
 
+    The walk reads every entry once; an entry outside 1..n, or a walk that
+    does not return to its start, raises NotAPermutation.
+
     >>> cycles((2, 4, 3, 5, 1))
     ((1, 2, 4, 5),)
     >>> cycles((3, 1, 5, 4, 6, 2))
@@ -107,9 +102,10 @@ def cycles(p: Perm) -> tuple[tuple[int, ...], ...]:
     >>> cycles((1, 2, 3))
     ()
     """
-    seen = [False] * len(p)
+    n = len(p)
+    seen = [False] * n
     out = []
-    for start in range(1, len(p) + 1):
+    for start in range(1, n + 1):
         if seen[start - 1] or p[start - 1] == start:
             continue
         cyc = []
@@ -118,6 +114,10 @@ def cycles(p: Perm) -> tuple[tuple[int, ...], ...]:
             seen[v - 1] = True
             cyc.append(v)
             v = p[v - 1]
+            if not 1 <= v <= n:
+                break
+        if v != start:
+            raise NotAPermutation(f"{list(p)} is not a permutation of 1..{n}")
         out.append(tuple(cyc))
     return tuple(out)
 
@@ -171,10 +171,6 @@ def find_321(p: Perm):
     return None
 
 
-def contains_321(p: Perm) -> bool:
-    return find_321(p) is not None
-
-
 def find_3412(p: Perm):
     """
     First quadruple of positions i < j < k < l (1-based) with
@@ -197,10 +193,6 @@ def find_3412(p: Perm):
                     if p[k] < p[l] < p[i]:
                         return (i + 1, j + 1, k + 1, l + 1)
     return None
-
-
-def contains_3412(p: Perm) -> bool:
-    return find_3412(p) is not None
 
 
 def conjugate(p: Perm, x: Perm) -> Perm:

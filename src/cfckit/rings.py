@@ -5,9 +5,10 @@ interval.  Two CFC elements are conjugate exactly when their multisets of
 ring sizes agree, and the equivalence is witnessed constructively: both
 elements are normalized to the same simple form (diagonal chunks, packed
 left, sizes descending) by cyclic shifts, one-column slides and adjacent
-chunk swaps, each realized as conjugation by an explicit word.  The
-composite conjugator is verified in the symmetric group before a
-certificate is returned.
+chunk swaps, each the word of one constructor that the public
+:func:`slide_conjugator` / :func:`swap_conjugator` share.  The composite
+conjugator is verified in the symmetric group before a certificate is
+returned.
 """
 
 from __future__ import annotations
@@ -63,16 +64,17 @@ def slide_equivalent(w, y, rank: int) -> bool:
     >>> slide_equivalent((1, 2, 3, 5, 6), (3, 4, 7, 8, 9), 9)
     False
     """
-    sizes_w = [r.size for r in rings_of(w, rank)]
-    sizes_y = [r.size for r in rings_of(y, rank)]
-    return sizes_w == sizes_y
+    return [r.size for r in rings_of(w, rank)] == [r.size for r in rings_of(y, rank)]
 
 
-def ring_equivalent(w, y, rank: int) -> bool:
+def is_conjugate_cfc(w, y, rank: int) -> bool:
     """
+    Conjugacy decision for CFC elements, also named ``ring_equivalent``:
     True iff the multisets of ring sizes coincide.
 
-    >>> ring_equivalent((1, 2, 3, 5, 6), (3, 4, 7, 8, 9), 9)
+    >>> is_conjugate_cfc((1, 2, 3, 5, 6), (3, 4, 7, 8, 9), 9)
+    True
+    >>> is_conjugate_cfc((1,), (2,), 2)
     True
     >>> ring_equivalent((1, 2), (1, 3), 3)
     False
@@ -82,16 +84,7 @@ def ring_equivalent(w, y, rank: int) -> bool:
     return classify.class_key(w)[0] == classify.class_key(y)[0]
 
 
-def is_conjugate_cfc(w, y, rank: int) -> bool:
-    """
-    Conjugacy decision for CFC elements: ring equivalence of the cylinders.
-
-    >>> is_conjugate_cfc((3, 4, 5, 6), (4, 5, 6, 7), 7)
-    True
-    >>> is_conjugate_cfc((1,), (2,), 2)
-    True
-    """
-    return ring_equivalent(w, y, rank)
+ring_equivalent = is_conjugate_cfc
 
 
 def slide_conjugator(k: int, k_prime: int, rank: int) -> Word:
@@ -111,6 +104,11 @@ def slide_conjugator(k: int, k_prime: int, rank: int) -> Word:
         raise InvalidGenerator(f"generator {k_prime} outside 1..{rank}")
     if k_prime == rank:
         raise ChunkAtBoundary(f"chunk ending at {k_prime} cannot slide right in rank {rank}")
+    return _slide_word(k, k_prime)
+
+
+def _slide_word(k: int, k_prime: int) -> Word:
+    """The word k, ..., k'+1 sliding the diagonal chunk on k..k' right."""
     return tuple(range(k, k_prime + 2))
 
 
@@ -237,8 +235,8 @@ def _normalize(word: Word) -> list[int]:
     target = 1  # chunks stay separated, so each one's start is >= target
     for start, size, _ in layout:
         for a in range(start, target, -1):
-            # the rightward slide word (a-1, ..., a+size-1)
-            inverse.extend(range(a - 1, a + size))
+            # the rightward slide word of the chunk on columns a-1..a+size-2
+            inverse.extend(_slide_word(a - 1, a + size - 2))
         target += size + 1
 
     sizes = [size for _, size, _ in layout]

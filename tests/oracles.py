@@ -9,8 +9,8 @@ the plain 321-avoider search (every
 extensions by a heap queue, the lift that rescans from generator 1, the
 breadth-first commutation walk), the word-level FC / CFC routes that
 decide each verdict from its definition, and the heap-level ones: the
-forbidden-pattern scan of the stacked blocks and the pairwise union-find
-of chunks.  Expected values frozen into the tests were computed with these.
+forbidden-pattern scan of the stacked blocks, the pairwise union-find
+of chunks and the comparison of two heaps as labeled posets.  Expected values frozen into the tests were computed with these.
 """
 
 import heapq
@@ -56,14 +56,6 @@ def naive_find_3412(p):
     p(k) < p(l) < p(i) < p(j), or None."""
     hits = (c for c in combinations(range(len(p)), 4) if p[c[2]] < p[c[3]] < p[c[0]] < p[c[1]])
     return next((tuple(x + 1 for x in c) for c in hits), None)
-
-
-def naive_contains_321(p):
-    return naive_find_321(p) is not None
-
-
-def naive_contains_3412(p):
-    return naive_find_3412(p) is not None
 
 
 def word_image(word, degree):
@@ -129,6 +121,22 @@ def heap_covers_by_scan(blocks):
         and a.level > b.level
         and not any(c.gen in (a.gen, b.gen) and b.level < c.level < a.level for c in blocks)
     )
+
+
+def heap_structure(heap):
+    """Canonical form of a heap as a labeled poset, ignoring the source
+    order of its blocks: the rank, the (column, level) of each block, and
+    the covers renumbered in that order."""
+    order = sorted(range(len(heap.blocks)), key=lambda i: (heap.blocks[i].gen, heap.blocks[i].level))
+    renum = {old: new for new, old in enumerate(order)}
+    blocks = tuple((heap.blocks[i].gen, heap.blocks[i].level) for i in order)
+    covers = frozenset((renum[a], renum[b]) for a, b in heap.covers)
+    return (heap.rank, blocks, covers)
+
+
+def same_poset(a, b):
+    """True iff two heaps are the same labeled poset."""
+    return heap_structure(a) == heap_structure(b)
 
 
 def maximal_blocks_by_scan(blocks):

@@ -3,6 +3,7 @@ can still find every function it wraps."""
 
 import ast
 import contextlib
+import inspect
 import io
 import pathlib
 from collections import Counter
@@ -236,15 +237,45 @@ def test_one_reader_for_integer_text():
         assert not [n for n in typed if getattr(n.value, "id", None) == "int"], name
 
 
-def test_traced_functions_resolve():
+def _traced_functions():
+    """The names that perfbench/spans.py wraps, as module.function."""
     tree = ast.parse(SPANS.read_text())
-    names = next(
+    return next(
         ast.literal_eval(node.value)
         for node in tree.body
         if isinstance(node, ast.Assign)
         and any(getattr(t, "id", None) == "FUNCTIONS" for t in node.targets)
     )
+
+
+def test_traced_functions_resolve():
+    names = _traced_functions()
     assert names
     for name in names:
         module, attr = name.split(".")
         assert callable(getattr(getattr(cfckit, module), attr)), name
+
+
+def test_every_exported_function_serves_an_answer_or_shows_its_use():
+    # an exported function is referred to inside the package, traced by the
+    # benchmark, or carries a doctest; anything else is a wrapper that no
+    # answer needs
+    used = set()
+    for path in sorted((ROOT / "src" / "cfckit").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for statement in ast.parse(path.read_text()).body:
+            nodes = list(ast.walk(statement))
+            names = {n.id for n in nodes if isinstance(n, ast.Name)}
+            names |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+            # a definition's own body is no use of it
+            names.discard(getattr(statement, "name", None))
+            used |= names
+    used |= {name.split(".")[1] for name in _traced_functions()}
+    exported = {name: getattr(cfckit, name) for name in cfckit.__all__}
+    functions = {name: f for name, f in exported.items() if inspect.isfunction(f)}
+    assert {"is_conjugate_cfc", "slide_equivalent", "render"} <= set(functions)
+    unneeded = [
+        name for name, f in functions.items() if name not in used and ">>>" not in (f.__doc__ or "")
+    ]
+    assert unneeded == []

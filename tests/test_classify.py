@@ -1,5 +1,7 @@
 import inspect
 import itertools
+import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -162,7 +164,7 @@ def test_enumerate_fc_matches_pattern_filter():
         expected = {
             perms.word_from_permutation(p)
             for p in itertools.permutations(range(1, rank + 2))
-            if not perms.contains_321(p)
+            if perms.find_321(p) is None
         }
         assert classify.enumerate_fc(rank) == expected
 
@@ -181,7 +183,7 @@ def test_enumerate_cfc_matches_pattern_filter():
         expected = {
             perms.word_from_permutation(p)
             for p in itertools.permutations(range(1, rank + 2))
-            if not perms.contains_321(p) and not perms.contains_3412(p)
+            if perms.find_321(p) is None and perms.find_3412(p) is None
         }
         assert classify.enumerate_cfc(rank) == expected
 
@@ -209,6 +211,40 @@ def test_closed_form_counts_match_the_enumerators(rank):
     assert classify.count_fc(rank) == len(classify.enumerate_fc(rank))
     assert classify.count_cfc(rank) == len(classify.enumerate_cfc(rank))
     assert classify.count_coxeter(rank) == len(classify.enumerate_coxeter(rank))
+
+
+def _fibonacci(n):
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize(
+    "count, formula, last",
+    [
+        (classify.count_fc, lambda r: math.comb(2 * r + 2, r + 1) // (r + 2), 1069),
+        (classify.count_cfc, lambda r: _fibonacci(2 * r + 1), 1531),
+        (classify.count_coxeter, lambda r: 2 ** (r - 1), 2127),
+    ],
+)
+def test_closed_form_counts_answer_up_to_the_printable_size(count, formula, last):
+    # at the least digit limit Python allows, 640, each count answers exactly
+    # up to the last rank whose decimal form fits, and is a rank error past it
+    limit = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(0)
+        expected = {r: formula(r) for r in range(last - 3, last + 4)}
+        assert [len(str(v)) <= 640 for v in expected.values()] == [True] * 4 + [False] * 3
+        sys.set_int_max_str_digits(640)
+        for r, value in expected.items():
+            if r <= last:
+                assert count(r) == value
+            else:
+                with pytest.raises(RankTooLarge, match="more than 640 digits"):
+                    count(r)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_closed_form_counts_reject_rank_zero():

@@ -1,6 +1,8 @@
 import json
 import pathlib
 import shlex
+import sys
+import time
 
 import pytest
 
@@ -65,6 +67,24 @@ def test_counts_answer_past_the_enumerable_ranks(capsys):
     assert "raising rank cap to 20" in err
     code, out, _ = invoke(capsys, *argv)
     assert json.loads(out) == {"rank": 20, "kind": "fc", "count": 24466267020}
+
+
+@pytest.mark.parametrize("fmt", [(), ("--format", "text")])
+@pytest.mark.parametrize("rank", ["20000", "1000000000"])
+@pytest.mark.parametrize("kind", ["fc", "cfc", "coxeter"])
+def test_counts_past_the_printable_size_are_rank_errors(capsys, kind, rank, fmt):
+    # no count of such a rank fits sys.get_int_max_str_digits() digits; the
+    # rank alone shows it, so even rank 10**9 answers at once
+    argv = (*fmt, "counts", "--kind", kind, "--rank", rank, "--max-rank", rank)
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    digits = sys.get_int_max_str_digits()
+    message = f"count at rank {rank} has more than {digits} digits, the limit for printing an integer"
+    assert (code, json.loads(out)) == (1, {"code": "rank_too_large", "message": message})
+    assert err.endswith(f"error: {message}\n") and "Traceback" not in err
+    if rank == "1000000000":
+        assert elapsed < 0.1
 
 
 def test_enumerate_sorted_and_deterministic(capsys):

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from cfckit import classify, conjecture, perms
-from cfckit.errors import RankTooLarge
+from cfckit.errors import NotAPermutation, RankTooLarge
 
 from oracles import conjecture_predicate_by_cycles, conjecture_report_by_sweep
 
@@ -37,13 +37,22 @@ def test_has_connected_support_examples():
 def test_conjecture_predicate_examples():
     assert conjecture.conjecture_predicate(perms.to_permutation((1, 2, 3, 4), 4))
     assert not conjecture.conjecture_predicate(perms.from_cycles([(1, 4, 3, 5, 2)], 5))
-    assert conjecture.conjecture_predicate(perms.identity(5))
+    assert conjecture.conjecture_predicate((1, 2, 3, 4, 5))
 
 
 def test_conjecture_predicate_rejects_a_non_permutation():
     # a value hit twice never closes its cycle: the walk stops at the degree
-    with pytest.raises(ValueError, match="not a permutation"):
+    with pytest.raises(NotAPermutation, match="not a permutation"):
         conjecture.conjecture_predicate((2, 2))
+
+
+@pytest.mark.parametrize("line", [(0, 1), (3, 1), (2, 2, 1), (1, 3, 3), (2, 3, 2)])
+def test_conjecture_predicate_walk_rejects_what_it_reads(line):
+    # an entry below the cycle's least entry or past the degree, or a walk
+    # that does not close, is not a permutation
+    with pytest.raises(NotAPermutation) as info:
+        conjecture.conjecture_predicate(line)
+    assert str(info.value) == f"{list(line)} is not a permutation of 1..{len(line)}"
 
 
 @pytest.mark.parametrize("degree", range(1, 9))

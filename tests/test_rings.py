@@ -51,6 +51,7 @@ def test_slide_equivalent_examples():
 def test_ring_equivalent_examples():
     assert rings.ring_equivalent((1, 2, 3), (2, 3, 4), 4)
     assert not rings.ring_equivalent((1, 2), (1, 3), 3)
+    assert rings.ring_equivalent is rings.is_conjugate_cfc
 
 
 def test_is_conjugate_cfc_examples():
@@ -165,6 +166,54 @@ def test_conjugacy_witness_paper_pairs():
     assert perms.conjugate(perms.to_permutation((1, 2, 3, 5, 6), 6), x) == perms.to_permutation(
         (1, 2, 4, 5, 6), 6
     )
+
+
+def _at(offset, word):
+    """A conjugator for chunks packed from column 1, moved to start at ``offset``."""
+    return tuple(g + offset - 1 for g in word)
+
+
+def _composite_cases():
+    """(w, y, rank, X_w^-1, X_y^-1): each X^-1 spelled out from the public
+    pieces, in the order the normal form takes them: the diagonalizing
+    shifts, the slides packing the rings left, then the adjacent swaps
+    sorting their sizes descending."""
+    slide, swap = rings.slide_conjugator, rings.swap_conjugator
+    # two rings: y slides its pair two columns left and swaps it past the
+    # singleton; w shifts 2 to diagonalize its pair and slides the singleton
+    yield pytest.param(
+        (2, 1, 5),
+        (1, 5, 6),
+        6,
+        (2,) + slide(4, 4, 6),
+        slide(4, 5, 6) + slide(3, 4, 6) + swap(2, 1, 6),
+        id="two-rings",
+    )
+    # three rings of sizes 3, 2, 1: y needs a shift, two slides and three
+    # swaps, one of them away from column 1
+    yield pytest.param(
+        (3, 2, 1, 5, 6, 9),
+        (5, 4, 1, 7, 8, 9),
+        9,
+        (3, 2, 3) + slide(8, 8, 9),
+        (5,)
+        + slide(3, 4, 9)
+        + slide(6, 8, 9)
+        + swap(2, 1, 9)
+        + _at(4, swap(3, 1, 9))
+        + swap(3, 2, 9),
+        id="three-rings",
+    )
+
+
+@pytest.mark.parametrize("w, y, rank, inverse_w, inverse_y", _composite_cases())
+def test_composite_conjugator_is_built_from_the_public_pieces(w, y, rank, inverse_w, inverse_y):
+    # X_w carries w to the common simple form and X_y^-1 carries it on to y
+    cert = rings.conjugacy_witness(w, y, rank)
+    assert cert.conjugator == inverse_y + tuple(reversed(inverse_w))
+    p = perms.to_permutation(w, rank)
+    x = perms.to_permutation(cert.conjugator, rank)
+    assert perms.conjugate(p, x) == perms.to_permutation(y, rank)
 
 
 def test_conjugacy_witness_rejects_non_conjugate():
