@@ -69,8 +69,7 @@ def is_fc(word, rank: int) -> FcVerdict:
     >>> is_fc((3, 2, 1, 3), 3).witness
     {'kind': '321', 'positions': [1, 3, 4]}
     """
-    word = words.require_reduced(word, rank)
-    hit = perms.find_321(perms.to_permutation(word, rank))
+    hit = perms.find_321(words.require_reduced(word, rank)[1])
     if hit is None:
         return FcVerdict(True, "pattern_321")
     return FcVerdict(False, "pattern_321", {"kind": "321", "positions": list(hit)})
@@ -115,8 +114,7 @@ def is_cfc(word, rank: int) -> CfcVerdict:
     >>> is_cfc((2, 1, 3, 2, 4), 4).is_cfc
     False
     """
-    word = words.require_reduced(word, rank)
-    witness = cfc_pattern(perms.to_permutation(word, rank))
+    witness = cfc_pattern(words.require_reduced(word, rank)[1])
     return CfcVerdict(witness is None, "pattern_321_3412", witness)
 
 
@@ -126,14 +124,15 @@ def _check_enum_rank(rank: int, max_rank: int) -> None:
         raise RankTooLarge(f"rank {rank} exceeds cap {max_rank}")
 
 
-def require_cfc(word, rank: int) -> Word:
+def require_cfc(word, rank: int) -> tuple[Word, perms.Perm]:
     """Validate a CFC word once, at an API boundary: reduced, and its image
-    avoiding 321 and 3412 (:func:`is_cfc`)."""
-    word = tuple(word)
-    verdict = is_cfc(word, rank)
-    if not verdict.is_cfc:
-        raise NotCFC(f"{list(word)} is not CFC: {verdict.witness}")
-    return word
+    avoiding 321 and 3412 (:func:`is_cfc`).  It returns the word as a tuple
+    and its image, from ``words.require_reduced``."""
+    word, image = words.require_reduced(word, rank)
+    witness = cfc_pattern(image)
+    if witness is not None:
+        raise NotCFC(f"{list(word)} is not CFC: {witness}")
+    return word, image
 
 
 def support_runs(word) -> tuple[tuple[int, int], ...]:

@@ -103,7 +103,8 @@ def conjecture_predicate(p: Perm) -> bool:
 
     A value the walk reads below the cycle's least entry or past the
     degree, or a cycle longer than the degree, raises NotAPermutation.  A
-    True answer reads every entry; a False one may stop before a fault.
+    True answer reads every entry; a False one may stop before it does, so
+    it checks the whole sequence first (:func:`_refuted`).
 
     >>> conjecture_predicate((2, 3, 4, 5, 1))
     True
@@ -127,12 +128,19 @@ def conjecture_predicate(p: Perm) -> bool:
             if after < v:
                 fallen = True
             elif fallen:
-                return False
+                return _refuted(p)
             v = after
         if size != top - start + 1:
-            return False
+            return _refuted(p)
         start = top + 1
     return True
+
+
+def _refuted(p: Perm) -> bool:
+    """False, once p is seen to be a permutation of 1..len(p)."""
+    if not perms.is_one_line(p):
+        raise NotAPermutation(f"{list(p)} is not a permutation of 1..{len(p)}")
+    return False
 
 
 def iter_predicate_permutations(degree: int) -> Iterator[Perm]:

@@ -94,7 +94,7 @@ def build_heap(word, rank: int) -> Heap:
     >>> [(b.gen, b.level) for b in h.blocks], sorted(h.covers)
     ([(1, 1), (3, 1)], [])
     """
-    return _assemble(words.require_reduced(word, rank), rank)
+    return _assemble(words.require_reduced(word, rank)[0], rank)
 
 
 def heap_to_word(heap: Heap) -> Word:
@@ -163,7 +163,7 @@ def cyclic_orbit(word, rank: int) -> frozenset[Word]:
     two CFC elements are cyclically equivalent iff their orbits coincide.
     The walk stops with ClosureTooLarge past ``words.closure_cap()`` words.
     """
-    word = classify.require_cfc(word, rank)
+    word, _ = classify.require_cfc(word, rank)
     moves = lambda u: (*words.commutation_moves(u), words.cyclic_shift(u))
     return frozenset(words.closure(word, moves, "cyclic_orbit"))
 
@@ -177,7 +177,7 @@ def cylindrical_canonical(word, rank: int) -> CylindricalHeap:
     >>> cylindrical_canonical((2, 3, 1), 4).canonical_word
     (1, 2, 3)
     """
-    word = classify.require_cfc(word, rank)
+    word, _ = classify.require_cfc(word, rank)
     return CylindricalHeap(classify.class_key(word)[1], classify.support_runs(word))
 
 

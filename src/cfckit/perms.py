@@ -197,13 +197,12 @@ def find_3412(p: Perm):
 
 def conjugate(p: Perm, x: Perm) -> Perm:
     """
-    x o p o x^{-1} under right-to-left composition.
+    x o p o x^{-1} under right-to-left composition; :func:`compose` checks
+    the degrees.
 
     >>> conjugate((2, 1, 3), (2, 3, 1))
     (1, 3, 2)
     """
-    if len(p) != len(x):
-        raise DegreeMismatch(f"degrees {len(p)} and {len(x)} differ")
     return compose(compose(x, p), inverse(x))
 
 

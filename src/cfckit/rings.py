@@ -50,7 +50,7 @@ def rings_of(word, rank: int) -> tuple[Ring, ...]:
     >>> rings_of((1,), 2)
     (Ring(start=1, size=1),)
     """
-    word = classify.require_cfc(word, rank)
+    word, _ = classify.require_cfc(word, rank)
     return tuple(Ring(start, size) for start, size in classify.support_runs(word))
 
 
@@ -79,8 +79,8 @@ def is_conjugate_cfc(w, y, rank: int) -> bool:
     >>> ring_equivalent((1, 2), (1, 3), 3)
     False
     """
-    w = classify.require_cfc(w, rank)
-    y = classify.require_cfc(y, rank)
+    w, _ = classify.require_cfc(w, rank)
+    y, _ = classify.require_cfc(y, rank)
     return classify.class_key(w)[0] == classify.class_key(y)[0]
 
 
@@ -267,14 +267,12 @@ def conjugacy_witness(w, y, rank: int) -> ConjugacyCertificate | None:
     >>> conjugacy_witness((1, 2), (1, 3), 3) is None
     True
     """
-    w = classify.require_cfc(w, rank)
-    y = classify.require_cfc(y, rank)
+    w, p_w = classify.require_cfc(w, rank)
+    y, p_y = classify.require_cfc(y, rank)
     if classify.class_key(w)[0] != classify.class_key(y)[0]:
         return None
     # X_y^-1 X_w carries w to the common simple form and on to y
     conjugator = tuple(_normalize(y)) + tuple(reversed(_normalize(w)))
-    p_w = perms.to_permutation(w, rank)
-    p_y = perms.to_permutation(y, rank)
     p_x = perms.to_permutation(conjugator, rank)
     if perms.conjugate(p_w, p_x) != p_y:
         raise VerificationFailed(

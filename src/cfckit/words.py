@@ -7,8 +7,10 @@ answered in the symmetric group of degree rank+1 via :mod:`cfckit.perms`.
 
 :func:`require_reduced` is the one boundary check for a reduced word: public
 functions that need one call it on entry, and the functions they call take
-the checked word on trust.  :func:`ascii_int` is the one reader of integer
-text from outside: word and cycle text, the CLI's rank options and
+the checked word on trust.  It hands on the image it read the length off,
+so the verdicts, the rings and the conjugacy certificate build each input's
+image once.  :func:`ascii_int` is the one reader of integer text from
+outside: word and cycle text, the CLI's rank options and
 ``CFC_MAX_CLOSURE`` all go through it.
 
 :func:`closure` is the one rewriting walk: reduced expressions, the cyclic
@@ -123,12 +125,15 @@ def is_reduced(word, rank: int) -> bool:
     return len(word) == perms.inversions(perms.to_permutation(word, rank))
 
 
-def require_reduced(word, rank: int) -> Word:
-    """The one boundary check: letters in 1..rank and the word reduced."""
+def require_reduced(word, rank: int) -> tuple[Word, perms.Perm]:
+    """The one boundary check: letters in 1..rank and the word reduced.  It
+    returns the word as a tuple and the image it read the length off, so no
+    caller builds the image again."""
     word = tuple(word)
-    if not is_reduced(word, rank):
+    image = perms.to_permutation(word, rank)
+    if len(word) != perms.inversions(image):
         raise NotReduced(f"{list(word)} is not reduced")
-    return word
+    return word, image
 
 
 def canonical_word(word, rank: int) -> Word:
@@ -269,7 +274,7 @@ def iter_reduced_expressions(word, rank: int, operation: str = "reduced_expressi
     Lazily walk the closure of a reduced word under single commutation and
     braid moves, in breadth-first order starting from the word itself.
     """
-    yield from closure(require_reduced(word, rank), expression_moves, operation)
+    yield from closure(require_reduced(word, rank)[0], expression_moves, operation)
 
 
 def reduced_expressions(word, rank: int) -> frozenset[Word]:
@@ -291,7 +296,7 @@ def commutation_class(word, rank: int) -> frozenset[Word]:
     >>> sorted(commutation_class((2, 1, 3, 2), 3))
     [(2, 1, 3, 2), (2, 3, 1, 2)]
     """
-    return frozenset(linear_extensions(require_reduced(word, rank), "commutation_class"))
+    return frozenset(linear_extensions(require_reduced(word, rank)[0], "commutation_class"))
 
 
 def commutation_classes(word, rank: int) -> tuple[frozenset[Word], ...]:

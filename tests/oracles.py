@@ -363,7 +363,7 @@ def _braid_scan(word, operation):
 def stembridge_scan(word, rank):
     """FC iff no reduced expression holds a braid factor: walk the Matsumoto
     closure and stop at the first one."""
-    word = words.require_reduced(word, rank)
+    word, _ = words.require_reduced(word, rank)
     hit = _braid_scan(word, "is_fc(stembridge_scan)")
     if hit is None:
         return classify.FcVerdict(True, "stembridge_scan")
@@ -377,7 +377,7 @@ def single_commutation_class(word, rank):
     """FC iff the reduced expressions form one commutation class.  A braid
     move changes the letter multiset, so any braid move that applies inside
     the class leaves it and names a second class."""
-    word = words.require_reduced(word, rank)
+    word, _ = words.require_reduced(word, rank)
     walk = words.closure(word, words.commutation_moves, "is_fc(single_commutation_class)")
     for u in sorted(walk):
         i = _braid_factor(u)
@@ -394,7 +394,7 @@ def definition(word, rank):
     """CFC from the definition: every cyclic shift of every reduced
     expression is reduced and holds no braid factor in any of its own
     reduced expressions."""
-    word = words.require_reduced(word, rank)
+    word, _ = words.require_reduced(word, rank)
     operation = "is_cfc(definition)"
     for u in words.closure(word, words.expression_moves, operation):
         v = u
@@ -408,7 +408,7 @@ def definition(word, rank):
 
 def support_once(word, rank):
     """CFC in type A iff no generator repeats in a reduced word."""
-    word = words.require_reduced(word, rank)
+    word, _ = words.require_reduced(word, rank)
     first = {}
     for pos, g in enumerate(word):
         if g in first:

@@ -11,7 +11,7 @@ from collections import Counter
 import pytest
 
 import cfckit
-from cfckit import classify, cli, conjecture, perms, rings, tables, words
+from cfckit import classify, cli, conjecture, heaps, perms, rings, tables, words
 
 from oracles import definition, single_commutation_class, stembridge_scan
 
@@ -62,8 +62,54 @@ def test_witness_checks_each_input_once(calls):
     assert cert.verified
     assert (cert.source, cert.target) == ((1, 3, 2, 5, 4, 7, 10, 9), (4, 3, 2, 1, 5, 7, 8, 10))
     assert calls["check_word"] == 0
-    # two per input (reducedness, then the pattern test) and three to verify
-    assert calls["to_permutation"] == 7
+    # one per input, handed from the boundary check to the pattern test and
+    # the verification, and one for the conjugator
+    assert calls["to_permutation"] == 3
+
+
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        pytest.param(lambda: classify.is_fc((2, 1, 3, 2), 3), 1, id="is_fc"),
+        pytest.param(lambda: classify.is_fc((3, 2, 1, 3), 3), 1, id="is_fc-witness"),
+        pytest.param(lambda: classify.is_cfc((1, 2, 4, 3), 4), 1, id="is_cfc"),
+        pytest.param(lambda: classify.is_cfc((2, 1, 3, 2, 4), 4), 1, id="is_cfc-witness"),
+        pytest.param(lambda: rings.rings_of((1, 2, 3, 5, 6), 6), 1, id="rings_of"),
+        pytest.param(
+            lambda: heaps.cylindrical_canonical((2, 3, 1), 4), 1, id="cylindrical_canonical"
+        ),
+        pytest.param(
+            lambda: rings.is_conjugate_cfc((1, 2, 3, 5, 6), (3, 4, 7, 8, 9), 9),
+            2,
+            id="is_conjugate_cfc",
+        ),
+        # ring sizes that differ leave no conjugator to image (the conjugate
+        # case is test_witness_checks_each_input_once)
+        pytest.param(
+            lambda: rings.conjugacy_witness((1, 2), (1, 3), 3), 2, id="conjugacy_witness-none"
+        ),
+    ],
+)
+def test_each_public_call_images_each_input_once(calls, call, expected):
+    # the boundary check hands its image on, so no verdict, ring or
+    # certificate builds an input's image a second time
+    call()
+    assert calls["to_permutation"] == expected
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        # is_fc and is_cfc, one boundary check each
+        pytest.param(["classify", "--rank", "5", "--word", "31245"], 2, id="classify"),
+        pytest.param(["conj", "--rank", "9", "--w", "12356", "--y", "34789"], 2, id="conj"),
+        pytest.param(["witness", "--rank", "7", "--w", "3456", "--y", "4567"], 3, id="witness"),
+    ],
+)
+def test_text_requests_image_each_input_once(calls, argv, expected):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(["--format", "text", *argv]) == 0
+    assert calls["to_permutation"] == expected
 
 
 def test_classify_command_never_rechecks_letters(calls):

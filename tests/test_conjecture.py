@@ -55,6 +55,19 @@ def test_conjecture_predicate_walk_rejects_what_it_reads(line):
     assert str(info.value) == f"{list(line)} is not a permutation of 1..{len(line)}"
 
 
+def test_conjecture_predicate_raises_exactly_for_non_permutations():
+    # every sequence of length 1-5 with entries 0..length+1: a False exit
+    # stops before it reads every entry, so it must still reject what it did
+    # not read, such as (3, 2, 1, 1) and (3, 0, 1)
+    for length in range(1, 6):
+        for line in itertools.product(range(length + 2), repeat=length):
+            if perms.is_one_line(line):
+                assert conjecture.conjecture_predicate(line) == conjecture_predicate_by_cycles(line)
+            else:
+                with pytest.raises(NotAPermutation):
+                    conjecture.conjecture_predicate(line)
+
+
 @pytest.mark.parametrize("degree", range(1, 9))
 def test_one_pass_predicate_matches_the_cycle_by_cycle_oracle(degree):
     for p in itertools.permutations(range(1, degree + 1)):

@@ -39,6 +39,8 @@ DEFAULT_KERNELS = (
     "class_table(6)",
     "class_table(7)",
     "class_table(8)",
+    "is_cfc(tuple(range(1, 61)), 60)",
+    "conjugacy_witness(tuple(range(60, 0, -1)), tuple(range(1, 61)), 60)",
 )
 
 # One side: read a kernel per line, run it, answer with the seconds it took.
