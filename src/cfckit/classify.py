@@ -17,14 +17,14 @@ tests pin the verdicts here to them.
 The canonical word of an element is its lexicographically least reduced
 word.  For an FC element it is a product of decreasing runs b, b-1, ..., a
 whose starts b and ends a both strictly increase from run to run
-(Billey-Jockusch-Stanley), so :func:`enumerate_fc` writes the words down
-directly.  A CFC element uses each support generator once, so its runs are
-disjoint: its support cut after each g that precedes g+1, each piece
-decreasing, over increasing, disjoint intervals [a, b], which for the
-Coxeter elements cover 1..rank.  The lazy ``_interval_words`` writes them
-down for :func:`enumerate_cfc`, :func:`enumerate_coxeter` and the
-conjecture sweep (class tables, which list every reduced word, read each
-element off its leaf of ``words.distinct_letter_classes`` instead):
+(Billey-Jockusch-Stanley).  A CFC element uses each support generator once,
+so its runs are also disjoint: each run's a exceeds the last run's b.  The
+runs of a Coxeter element tile 1..rank: each run's a is the last run's b
+plus one.  One lazy depth-first walk, ``_run_words``, writes the words down
+under each of the three rules, for :func:`enumerate_fc`,
+:func:`enumerate_cfc`, :func:`enumerate_coxeter` and the conjecture sweep
+(class tables, which list every reduced word, read each element off its
+leaf of ``words.distinct_letter_classes`` instead):
 
 >>> sorted(enumerate_coxeter(3))
 [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
@@ -87,7 +87,7 @@ def is_cyclically_reduced(word, rank: int) -> bool:
     """
     for u in words.iter_reduced_expressions(word, rank, "is_cyclically_reduced"):
         v = u
-        for _ in range(len(u)):
+        for _ in range(len(u) - 1):  # the last shift is u itself
             v = words.cyclic_shift(v)
             if not words.is_reduced(v, rank):
                 return False
@@ -183,22 +183,36 @@ def chunk_layout(word: Word) -> tuple[tuple[int, int, tuple[bool, ...]], ...]:
     )
 
 
-def _fc_words(rank: int) -> Iterator[Word]:
-    """The FC canonical words over 1..rank, depth-first: each word grows by
-    a run b, b-1, ..., a whose a and b exceed the last run's."""
-    runs = [(tuple(range(b, a - 1, -1)), a, b) for b in range(1, rank + 1) for a in range(1, b + 1)]
-    # follow[(a, b)]: each run that may come after the run b, b-1, ..., a
-    follow = {
-        (last_a, last_b): [(run, (a, b)) for run, a, b in runs if a > last_a and b > last_b]
-        for last_b in range(rank + 1)
-        for last_a in range(last_b + 1)
-    }
-    stack = [((), (0, 0))]  # (word, start and end of its last run)
+def _run_words(rank: int, follows: Callable[[int, int, int], bool]) -> Iterator[Word]:
+    """The words over 1..rank written as decreasing runs b, b-1, ..., a,
+    depth-first: a run may follow the run b', ..., a' when b > b' and
+    ``follows(a, a', b')``.  The empty word comes first; a rule that lets
+    any run start a word puts (rank,) second."""
+    runs = [(0, 0)] + [(a, b) for b in range(1, rank + 1) for a in range(1, b + 1)]
+    pieces = [tuple(range(b, a - 1, -1)) for a, b in runs]
+    # follow[i]: (piece, index) of each run that may come after runs[i]
+    follow = [
+        [(pieces[j], j) for j, (a, b) in enumerate(runs) if b > last_b and follows(a, last_a, last_b)]
+        for last_a, last_b in runs
+    ]
+    stack = [((), 0)]  # (word, index of its last run)
     while stack:
         word, last = stack.pop()
         yield word
-        for run, ends in follow[last]:
-            stack.append((word + run, ends))
+        for piece, j in follow[last]:
+            stack.append((word + piece, j))
+
+
+def _fc_follows(a: int, last_a: int, last_b: int) -> bool:
+    return a > last_a
+
+
+def _cfc_follows(a: int, last_a: int, last_b: int) -> bool:
+    return a > last_b
+
+
+def _coxeter_follows(a: int, last_a: int, last_b: int) -> bool:
+    return a == last_b + 1
 
 
 def enumerate_fc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
@@ -210,39 +224,19 @@ def enumerate_fc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
     [(), (1,), (1, 2), (2,), (2, 1)]
     """
     _check_enum_rank(rank, max_rank)
-    return frozenset(_fc_words(rank))
-
-
-def _interval_words(rank: int, cover: bool) -> Iterator[Word]:
-    """The interval-form words over 1..rank, depth-first: each word grows by
-    a run b, b-1, ..., a with a above the last run's b, so the empty word
-    comes first and (rank,) second.  With ``cover`` each run starts right
-    after the last one, and only the words that reach rank are yielded."""
-    runs = [(tuple(range(b, a - 1, -1)), a, b) for b in range(1, rank + 1) for a in range(1, b + 1)]
-    # follow[last]: each run that may come after a run ending at last, with its end
-    follow = [
-        [(run, b) for run, a, b in runs if a == last + 1 or (a > last and not cover)]
-        for last in range(rank + 1)
-    ]
-    stack = [((), 0)]  # (word, end of its last run)
-    while stack:
-        word, last = stack.pop()
-        if last == rank or not cover:
-            yield word
-        for run, b in follow[last]:
-            stack.append((word + run, b))
+    return frozenset(_run_words(rank, _fc_follows))
 
 
 def enumerate_cfc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
     """
-    Canonical words of all CFC elements, F(2*rank+1) of them, built in the
-    interval form (see the module docstring).
+    Canonical words of all CFC elements, F(2*rank+1) of them, written
+    down as disjoint decreasing runs (see the module docstring).
 
     >>> len(enumerate_cfc(3))
     13
     """
     _check_enum_rank(rank, max_rank)
-    return frozenset(_interval_words(rank, cover=False))
+    return frozenset(_run_words(rank, _cfc_follows))
 
 
 def enumerate_coxeter(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
@@ -254,7 +248,7 @@ def enumerate_coxeter(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Wor
     [(1, 2), (2, 1)]
     """
     _check_enum_rank(rank, max_rank)
-    return frozenset(_interval_words(rank, cover=True))
+    return frozenset(w for w in _run_words(rank, _coxeter_follows) if len(w) == rank)
 
 
 def _printable(rank: int, count: Callable[[], int]) -> int:

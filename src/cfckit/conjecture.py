@@ -14,12 +14,13 @@ at most one direction change iff the element is CFC) is open; the checker
 reports disagreements as data, never as failure.
 
 The checker settles every permutation of the degree while visiting only
-the ones that can disagree: the images of the CFC words, written down by
-``classify._interval_words``, and the predicate's permutations, built
-from cycles by :func:`iter_predicate_permutations`, independently of the
-words.  A permutation in neither set is not CFC and fails the predicate,
-so the two verdicts agree without being computed.  No pattern scan runs:
-a permutation is CFC exactly when no letter repeats in its canonical word.
+the ones that can disagree: the images of the CFC words, written down as
+disjoint decreasing runs by ``classify._run_words``, and the predicate's
+permutations, built from cycles by :func:`iter_predicate_permutations`,
+independently of the words.  A permutation in neither set is not CFC and
+fails the predicate, so the two verdicts agree without being computed.  No
+pattern scan runs: a permutation is CFC exactly when no letter repeats in
+its canonical word.
 """
 
 from __future__ import annotations
@@ -193,7 +194,7 @@ def check_conjecture(rank: int, max_rank: int = CONJECTURE_RANK_CAP) -> Conjectu
     """
     classify._check_enum_rank(rank, max_rank)
     degree = rank + 1
-    cfc_words = classify._interval_words(rank, cover=False)
+    cfc_words = classify._run_words(rank, classify._cfc_follows)
     cfc_images = ((w, perms.to_permutation(w, rank)) for w in cfc_words)
     counterexamples = [(w, p, False, True) for w, p in cfc_images if not conjecture_predicate(p)]
     canonical = ((perms.word_from_permutation(p), p) for p in iter_predicate_permutations(degree))

@@ -7,8 +7,9 @@ are normalized smallest-first on parse.  Numbers in either text are ASCII
 digits, read by ``words.ascii_int``.  Loaders check heaps, certificates,
 conjecture reports and class tables again rather than trusting them, and
 report any missing key, wrong type, non-permutation, letter outside the rank
-or contradicted content as InvalidObject.  They read CFC off a reduced word
-as no repeated letter (type A), so no loader runs a pattern scan.
+or contradicted content as InvalidObject; a closure past its cap and a
+malformed cap setting keep their own codes.  They read CFC off a reduced
+word as no repeated letter (type A), so no loader runs a pattern scan.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import functools
 import math
 
 from . import classify, conjecture, heaps, perms, rings, tables, words
-from .errors import CfcError, InvalidGenerator, InvalidObject
+from .errors import CfcError, ClosureTooLarge, InvalidGenerator, InvalidObject, InvalidSetting
 
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
@@ -56,13 +57,14 @@ def format_word_text(word: Word, rank: int) -> str:
 
 
 def _loader(load):
-    """Report a malformed object as InvalidObject, whichever part fails."""
+    """Report a malformed object as InvalidObject, whichever part fails;
+    the closure cap and its setting are no fault of the object."""
 
     @functools.wraps(load)
     def checked(obj):
         try:
             return load(obj)
-        except InvalidObject:
+        except (InvalidObject, ClosureTooLarge, InvalidSetting):
             raise
         except (CfcError, KeyError, TypeError, ValueError) as exc:
             raise InvalidObject(f"{load.__name__}: malformed object ({exc!r})") from None

@@ -211,6 +211,13 @@ def test_closed_form_counts_match_the_enumerators(rank):
     assert classify.count_fc(rank) == len(classify.enumerate_fc(rank))
     assert classify.count_cfc(rank) == len(classify.enumerate_cfc(rank))
     assert classify.count_coxeter(rank) == len(classify.enumerate_coxeter(rank))
+    # the walk writes each word once: a frozenset would hide a repeat
+    fc = list(classify._run_words(rank, classify._fc_follows))
+    cfc = list(classify._run_words(rank, classify._cfc_follows))
+    coxeter = [w for w in classify._run_words(rank, classify._coxeter_follows) if len(w) == rank]
+    assert len(fc) == len(set(fc)) == classify.count_fc(rank)
+    assert len(cfc) == len(set(cfc)) == classify.count_cfc(rank)
+    assert len(coxeter) == len(set(coxeter)) == classify.count_coxeter(rank)
 
 
 def _fibonacci(n):

@@ -131,7 +131,7 @@ def test_check_conjecture_past_the_default_cap():
 def test_candidate_generators_are_lazy():
     # F(59) permutations each: only a lazy generator gets past its first two
     swap = (*range(1, 29), 30, 29)
-    cfc_words = classify._interval_words(29, cover=False)
+    cfc_words = classify._run_words(29, classify._cfc_follows)
     cfc_images = (perms.to_permutation(w, 29) for w in cfc_words)
     for generated in (cfc_images, conjecture.iter_predicate_permutations(30)):
         assert list(itertools.islice(generated, 2)) == [tuple(range(1, 31)), swap]

@@ -122,7 +122,7 @@ def _fibonacci(n):
 @pytest.mark.parametrize("degree", range(2, 11))
 def test_interval_word_images_are_the_cfc_321_avoiders_once_each(degree):
     rank = degree - 1
-    out = [perms.to_permutation(w, rank) for w in classify._interval_words(rank, cover=False)]
+    out = [perms.to_permutation(w, rank) for w in classify._run_words(rank, classify._cfc_follows)]
     assert len(out) == len(set(out)) == _fibonacci(2 * degree - 1)
     expected = {p for p in iter_321_avoiding(degree) if classify.cfc_pattern(p) is None}
     assert set(out) == expected

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfckit import conjecture, heaps, perms, rings, serialize, tables
-from cfckit.errors import InvalidGenerator, InvalidObject
+from cfckit.errors import ClosureTooLarge, InvalidGenerator, InvalidObject, InvalidSetting
 
 from oracles import conjecture_report_by_sweep
 
@@ -293,6 +293,19 @@ def test_class_table_round_trip():
     table = tables.class_table(3)
     obj = json.loads(json.dumps(serialize.class_table_to_obj(table)))
     assert serialize.class_table_from_obj(obj) == table
+
+
+@pytest.mark.parametrize(
+    "setting, error, code",
+    [("1", ClosureTooLarge, "closure_too_large"), ("x", InvalidSetting, "invalid_setting")],
+)
+def test_table_loader_keeps_the_closure_cap_codes(monkeypatch, setting, error, code):
+    # a valid table checked under a small or malformed cap is not bad data
+    obj = json.loads(json.dumps(serialize.class_table_to_obj(tables.class_table(4))))
+    monkeypatch.setenv("CFC_MAX_CLOSURE", setting)
+    with pytest.raises(error) as info:
+        serialize.class_table_from_obj(obj)
+    assert serialize.error_to_obj(info.value)["code"] == code
 
 
 def test_reports_and_tables_round_trip_across_ranks():

@@ -35,6 +35,7 @@ DEFAULT_KERNELS = (
     "check_conjecture(10, max_rank=10)",
     "enumerate_cfc(9)",
     "enumerate_coxeter(9)",
+    "is_cyclically_reduced((4, 2, 6, 1, 3, 5, 8, 7, 9), 9)",
     "class_table(5)",
     "class_table(6)",
     "class_table(7)",
