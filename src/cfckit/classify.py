@@ -22,9 +22,10 @@ so its runs are also disjoint: each run's a exceeds the last run's b.  The
 runs of a Coxeter element tile 1..rank: each run's a is the last run's b
 plus one.  One lazy depth-first walk, ``_run_words``, writes the words down
 under each of the three rules, for :func:`enumerate_fc`,
-:func:`enumerate_cfc`, :func:`enumerate_coxeter` and the conjecture sweep
-(class tables, which list every reduced word, read each element off its
-leaf of ``words.distinct_letter_classes`` instead):
+:func:`enumerate_cfc`, :func:`enumerate_coxeter`, the CLI's listing
+:func:`enumerate_sorted` (filed by length as written, with no set) and
+the conjecture sweep (class tables, which list every reduced word, read
+each element off its leaf of ``words.distinct_letter_classes`` instead):
 
 >>> sorted(enumerate_coxeter(3))
 [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 2, 1)]
@@ -190,9 +191,15 @@ def _run_words(rank: int, follows: Callable[[int, int, int], bool]) -> Iterator[
     any run start a word puts (rank,) second."""
     runs = [(0, 0)] + [(a, b) for b in range(1, rank + 1) for a in range(1, b + 1)]
     pieces = [tuple(range(b, a - 1, -1)) for a, b in runs]
-    # follow[i]: (piece, index) of each run that may come after runs[i]
+    # follow[i]: (piece, index) of each run that may come after runs[i].  The
+    # runs are sorted by b, and 1 + b'(b'+1)/2 of them have b <= b', so the
+    # runs with b > b' are the suffix from there.
     follow = [
-        [(pieces[j], j) for j, (a, b) in enumerate(runs) if b > last_b and follows(a, last_a, last_b)]
+        [
+            (pieces[j], j)
+            for j in range(1 + last_b * (last_b + 1) // 2, len(runs))
+            if follows(runs[j][0], last_a, last_b)
+        ]
         for last_a, last_b in runs
     ]
     stack = [((), 0)]  # (word, index of its last run)
@@ -215,6 +222,19 @@ def _coxeter_follows(a: int, last_a: int, last_b: int) -> bool:
     return a == last_b + 1
 
 
+_FOLLOWS = {"fc": _fc_follows, "cfc": _cfc_follows, "coxeter": _coxeter_follows}
+
+
+def _kind_words(kind: str, rank: int, max_rank: int) -> Iterator[Word]:
+    """The canonical words of one kind, "fc", "cfc" or "coxeter", in walk
+    order, once the rank is checked against its cap."""
+    _check_enum_rank(rank, max_rank)
+    found = _run_words(rank, _FOLLOWS[kind])
+    if kind == "coxeter":  # the runs tile 1..rank in the words of full length only
+        return (w for w in found if len(w) == rank)
+    return found
+
+
 def enumerate_fc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
     """
     Canonical words of all FC elements, Catalan(rank+1) of them, written
@@ -223,8 +243,7 @@ def enumerate_fc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
     >>> sorted(enumerate_fc(2))
     [(), (1,), (1, 2), (2,), (2, 1)]
     """
-    _check_enum_rank(rank, max_rank)
-    return frozenset(_run_words(rank, _fc_follows))
+    return frozenset(_kind_words("fc", rank, max_rank))
 
 
 def enumerate_cfc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
@@ -235,8 +254,7 @@ def enumerate_cfc(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
     >>> len(enumerate_cfc(3))
     13
     """
-    _check_enum_rank(rank, max_rank)
-    return frozenset(_run_words(rank, _cfc_follows))
+    return frozenset(_kind_words("cfc", rank, max_rank))
 
 
 def enumerate_coxeter(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Word]:
@@ -247,8 +265,30 @@ def enumerate_coxeter(rank: int, max_rank: int = ENUM_RANK_CAP) -> frozenset[Wor
     >>> sorted(enumerate_coxeter(2))
     [(1, 2), (2, 1)]
     """
-    _check_enum_rank(rank, max_rank)
-    return frozenset(w for w in _run_words(rank, _coxeter_follows) if len(w) == rank)
+    return frozenset(_kind_words("coxeter", rank, max_rank))
+
+
+def enumerate_sorted(kind: str, rank: int, max_rank: int = ENUM_RANK_CAP) -> list[Word]:
+    """
+    The words of :func:`enumerate_fc`, :func:`enumerate_cfc` or
+    :func:`enumerate_coxeter` (``kind`` "fc", "cfc" or "coxeter") by
+    length, then lexicographically: the order the CLI prints.  Each word
+    the walk writes is filed under its length, no longer than the longest
+    element's rank*(rank+1)/2, and each length is sorted on its own, so no
+    set is built and no comparison crosses two lengths.
+
+    >>> enumerate_sorted("fc", 2)
+    [(), (1,), (2,), (1, 2), (2, 1)]
+    """
+    found = _kind_words(kind, rank, max_rank)  # checks the rank before any bucket is made
+    by_length = [[] for _ in range(rank * (rank + 1) // 2 + 1)]
+    for w in found:
+        by_length[len(w)].append(w)
+    ordered = []
+    for bucket in by_length:
+        bucket.sort()
+        ordered += bucket
+    return ordered
 
 
 def _printable(rank: int, count: Callable[[], int]) -> int:

@@ -96,11 +96,6 @@ def _cap(args, default: int) -> int:
     return args.max_rank
 
 
-_ENUMERATORS = {
-    "fc": classify.enumerate_fc,
-    "cfc": classify.enumerate_cfc,
-    "coxeter": classify.enumerate_coxeter,
-}
 _COUNTERS = {
     "fc": classify.count_fc,
     "cfc": classify.count_cfc,
@@ -120,8 +115,10 @@ def _dispatch(args) -> dict | str:
         return {"rank": args.rank, "kind": args.kind, "count": count}
 
     if args.command == "enumerate":
-        elements = _ENUMERATORS[args.kind](args.rank, max_rank=_cap(args, classify.ENUM_RANK_CAP))
-        ordered = sorted(sorted(elements), key=len)  # by length, then lexicographically
+        # by length, then lexicographically, filed by length as the walk writes them
+        ordered = classify.enumerate_sorted(
+            args.kind, args.rank, max_rank=_cap(args, classify.ENUM_RANK_CAP)
+        )
         if text:
             return "\n".join(serialize.format_word_text(w, args.rank) for w in ordered) + "\n"
         return {"rank": args.rank, "kind": args.kind, "elements": ordered}

@@ -17,10 +17,15 @@ The checker settles every permutation of the degree while visiting only
 the ones that can disagree: the images of the CFC words, written down as
 disjoint decreasing runs by ``classify._run_words``, and the predicate's
 permutations, built from cycles by :func:`iter_predicate_permutations`,
-independently of the words.  A permutation in neither set is not CFC and
+independently of the words.  The supports of a predicate permutation's
+cycles are intervals partitioning 1..n, so its one-line form is one
+block per interval, the values of that interval's cycle; each interval's
+blocks are built once per sweep and each permutation is one
+concatenation of blocks.  A permutation in neither set is not CFC and
 fails the predicate, so the two verdicts agree without being computed.  No
 pattern scan runs: a permutation is CFC exactly when no letter repeats in
-its canonical word.
+its canonical word, which ``perms.word_from_permutation`` writes down in
+O(n + l).
 """
 
 from __future__ import annotations
@@ -152,26 +157,72 @@ def iter_predicate_permutations(degree: int) -> Iterator[Perm]:
     change rises from a to b and then falls, so it is fixed by the values
     it passes on the way up: 2^(b-a-1) cycles per interval.
 
+    The one-line form is therefore the concatenation of one block per
+    interval, the values p(a), ..., p(b) of its cycle
+    (:func:`_cycle_blocks`).  A depth-first walk over the compositions of
+    1..degree, with an explicit stack of iterators, appends a block per
+    step.  Each interval's blocks are built once per call, when the walk
+    first reaches that interval, so the walk stays lazy at any degree.
+    The order: at each start a fixed point comes first, then the intervals
+    by increasing end, each with its blocks in the order of
+    :func:`_cycle_blocks`.
+
     >>> sorted(iter_predicate_permutations(3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
     """
+    if degree < 1:
+        yield ()
+        return
+    built: dict[tuple[int, int], list[Perm]] = {}
 
-    def cycle_lists(start: int):
-        if start > degree:
-            yield ()
-            return
-        yield from cycle_lists(start + 1)  # start is a fixed point
-        for end in range(start + 1, degree + 1):
-            middle = range(start + 1, end)
-            for rising in itertools.product((True, False), repeat=len(middle)):
-                up = [v for v, r in zip(middle, rising) if r]
-                down = [v for v, r in zip(middle, rising) if not r]
-                cycle = (start, *up, end, *reversed(down))
-                for rest in cycle_lists(end + 1):
-                    yield (cycle, *rest)
+    def blocks_from(start: int) -> Iterator[Perm]:
+        for end in range(start, degree + 1):
+            if (start, end) not in built:
+                built[start, end] = _cycle_blocks(start, end)
+            yield from built[start, end]
 
-    for cycs in cycle_lists(1):
-        yield perms.from_cycles(cycs, degree)
+    stack = [((), blocks_from(1))]  # (one-line prefix, blocks that may extend it)
+    while stack:
+        prefix, blocks = stack[-1]
+        for block in blocks:
+            line = prefix + block
+            if len(line) == degree:
+                yield line
+            else:
+                stack.append((line, blocks_from(len(line) + 1)))
+                break
+        else:
+            stack.pop()
+
+
+def _cycle_blocks(a: int, b: int) -> list[Perm]:
+    """
+    The values p(a), ..., p(b) of each min-first cycle on [a, b] with at
+    most one direction change: (a, up..., b, reversed(down)...), where up
+    and down split a+1..b-1, one for each choice of which values go up,
+    in ``itertools.product((True, False), ...)`` order.  An up value maps
+    to the next value up (b after the last), and a down value to the next
+    value down (a after the least); a maps to the first up value, and b
+    to the largest down value.
+
+    >>> _cycle_blocks(2, 4)
+    [(3, 4, 2), (4, 2, 3)]
+    """
+    blocks = []
+    for rising in itertools.product((True, False), repeat=max(b - a - 1, 0)):
+        block = [0] * (b - a + 1)
+        up = down = a  # the last value placed on each side
+        for v, r in enumerate(rising, a + 1):
+            if r:
+                block[up - a] = v
+                up = v
+            else:
+                block[v - a] = down
+                down = v
+        block[up - a] = b
+        block[b - a] = down
+        blocks.append(tuple(block))
+    return blocks
 
 
 def check_conjecture(rank: int, max_rank: int = CONJECTURE_RANK_CAP) -> ConjectureReport:
@@ -182,12 +233,13 @@ def check_conjecture(rank: int, max_rank: int = CONJECTURE_RANK_CAP) -> Conjectu
     Two lazy passes visit the permutations that can disagree.  The first
     runs the predicate on the image of every CFC word, which is CFC by
     construction and is the image's canonical word.  The second writes down
-    the canonical word of every permutation built by
-    :func:`iter_predicate_permutations`, in O(n + l), and keeps those in
-    which a letter repeats, the ones that are not CFC; the CFC ones were
-    settled in the first pass.  Any other permutation is not CFC and fails
-    the predicate, so it agrees; it is accounted for without a visit, and
-    ``elements_checked`` stays (rank+1)!.
+    the canonical word of every permutation that
+    :func:`iter_predicate_permutations` concatenates from its interval
+    blocks, in O(n + l), and keeps those in which a letter repeats, the
+    ones that are not CFC; the CFC ones were settled in the first pass.
+    Both passes build each permutation once, as one tuple.  Any other
+    permutation is not CFC and fails the predicate, so it agrees; it is
+    accounted for without a visit, and ``elements_checked`` stays (rank+1)!.
 
     >>> check_conjecture(2).agree
     True

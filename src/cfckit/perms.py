@@ -224,9 +224,10 @@ def word_from_permutation(p: Perm) -> Word:
     1..degree-1, built by repeatedly taking the smallest left descent.
 
     Removing descent i changes only descents i-1, i and i+1, so the scan
-    resumes at i-1: O(n + l) for degree n and length l.  The scan looks up
-    every value 1..n, so a sequence that is not a permutation of 1..n
-    raises NotAPermutation at no extra cost.
+    resumes at i-1: O(n + l) for degree n and length l, with the positions
+    of the values i and i+1 read once per step.  The scan looks up every
+    value 1..n in a dict of positions, so a sequence that is not a
+    permutation of 1..n raises NotAPermutation at no extra cost.
 
     >>> word_from_permutation((2, 4, 3, 5, 1))
     (1, 2, 3, 2, 4)
@@ -234,19 +235,22 @@ def word_from_permutation(p: Perm) -> Word:
     ()
     """
     pos = {v: i for i, v in enumerate(p)}
+    degree = len(p)
     word = []
     i = 1
     try:
-        if len(p) == 1:
+        if degree == 1:
             pos[1]  # the scan below looks nothing up at degree 1
-        while i < len(p):
+        while i < degree:
             # i is a left descent iff the value i+1 sits before the value i
-            if pos[i + 1] < pos[i]:
+            here, after = pos[i], pos[i + 1]
+            if after < here:
                 word.append(i)
-                pos[i], pos[i + 1] = pos[i + 1], pos[i]
-                i = max(i - 1, 1)
+                pos[i], pos[i + 1] = after, here
+                if i > 1:
+                    i -= 1
             else:
                 i += 1
     except KeyError:
-        raise NotAPermutation(f"{list(p)} is not a permutation of 1..{len(p)}") from None
+        raise NotAPermutation(f"{list(p)} is not a permutation of 1..{degree}") from None
     return tuple(word)

@@ -4,6 +4,7 @@ Everything here is deliberately naive: breadth-first search in the Cayley
 graph for lengths, itertools scans for patterns, full conjugation sweeps
 for conjugacy, sweeps of the whole symmetric group for FC enumeration
 and the conjecture check, the cycle-shape predicate read cycle by cycle,
+the predicate permutations rebuilt from recursive cycle lists,
 the plain 321-avoider search (every
 321-avoider, lifted to its word), the earlier listing kernels (linear
 extensions by a heap queue, the lift that rescans from generator 1, the
@@ -225,6 +226,32 @@ def conjecture_report_by_sweep(rank):
         agree=not counterexamples,
         counterexamples=tuple(sorted(counterexamples, key=lambda c: c[1])),
     )
+
+
+def predicate_permutations_by_cycle_lists(degree):
+    """The predicate permutations, in the order the package yields them,
+    from a recursive chain of cycle-list generators: at each start a fixed
+    point first, then each interval [start, end] by increasing end, its
+    cycles (start, up..., end, reversed(down)...) in ``product`` order of
+    the values that go up, each followed by every cycle list of the rest;
+    every list is rebuilt into one-line form by ``perms.from_cycles``."""
+
+    def cycle_lists(start):
+        if start > degree:
+            yield ()
+            return
+        yield from cycle_lists(start + 1)  # start is a fixed point
+        for end in range(start + 1, degree + 1):
+            middle = range(start + 1, end)
+            for rising in product((True, False), repeat=len(middle)):
+                up = [v for v, r in zip(middle, rising) if r]
+                down = [v for v, r in zip(middle, rising) if not r]
+                cycle = (start, *up, end, *reversed(down))
+                for rest in cycle_lists(end + 1):
+                    yield (cycle, *rest)
+
+    for cycs in cycle_lists(1):
+        yield perms.from_cycles(cycs, degree)
 
 
 def lex_min_linear_extension(gens, edges):

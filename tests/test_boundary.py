@@ -140,11 +140,11 @@ def test_class_table_builds_its_leaves_in_one_pass(monkeypatch):
 
 
 def test_counts_build_no_element(monkeypatch):
-    # counts are closed forms; only a listing runs an enumerator
+    # counts are closed forms; only a listing runs the walk, once, through
+    # the ordered enumeration and not through the frozenset enumerators
     kinds = ("fc", "cfc", "coxeter")
-    counts = _count(monkeypatch, [(classify, f"enumerate_{kind}") for kind in kinds])
-    for kind in kinds:
-        monkeypatch.setitem(cli._ENUMERATORS, kind, getattr(classify, f"enumerate_{kind}"))
+    counted = [(classify, f"enumerate_{kind}") for kind in kinds]
+    counts = _count(monkeypatch, [*counted, (classify, "enumerate_sorted"), (classify, "_run_words")])
     with contextlib.redirect_stdout(io.StringIO()):
         for kind in kinds:
             for rank in range(1, 10):
@@ -153,7 +153,7 @@ def test_counts_build_no_element(monkeypatch):
         assert counts == Counter()
         for kind in kinds:
             assert cli.run(["enumerate", "--kind", kind, "--rank", "3"]) == 0
-    assert counts == Counter(enumerate_fc=1, enumerate_cfc=1, enumerate_coxeter=1)
+    assert counts == Counter(enumerate_sorted=3, _run_words=3)
 
 
 def test_conjecture_sweep_stays_on_permutations(calls):

@@ -98,6 +98,29 @@ def test_enumerate_sorted_and_deterministic(capsys):
     assert out == out2
 
 
+@pytest.mark.parametrize("rank", range(1, 10))
+@pytest.mark.parametrize("kind", ["fc", "cfc", "coxeter"])
+def test_enumerate_prints_the_sorted_enumerator_set(capsys, kind, rank):
+    # the listing is filed by length as the walk writes it; it must print
+    # what sorting the enumerator's set by length, then lexicographically, gives
+    expected = sorted(sorted(getattr(classify, f"enumerate_{kind}")(rank)), key=len)
+    code, out, _ = invoke(capsys, "enumerate", "--kind", kind, "--rank", str(rank))
+    assert (code, out) == (0, json.dumps({"rank": rank, "kind": kind, "elements": expected}) + "\n")
+    code, out, _ = invoke(capsys, "--format", "text", "enumerate", "--kind", kind, "--rank", str(rank))
+    assert (code, out) == (0, "".join(serialize.format_word_text(w, rank) + "\n" for w in expected))
+
+
+@pytest.mark.parametrize("kind", ["fc", "cfc", "coxeter"])
+def test_enumerate_past_the_cap_answers_before_any_listing(capsys, kind):
+    # the rank is checked before the listing makes its rank*(rank+1)/2
+    # buckets, which at this rank would not fit in memory
+    code, out, _ = invoke(capsys, "enumerate", "--kind", kind, "--rank", "1000000000")
+    assert (code, json.loads(out)) == (
+        1,
+        {"code": "rank_too_large", "message": "rank 1000000000 exceeds cap 9"},
+    )
+
+
 def test_render_ascii_to_stdout(capsys):
     code, out, _ = invoke(capsys, "render", "--rank", "5", "--word", "2354")
     assert code == 0

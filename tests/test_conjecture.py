@@ -5,7 +5,11 @@ import pytest
 from cfckit import classify, conjecture, perms
 from cfckit.errors import NotAPermutation, RankTooLarge
 
-from oracles import conjecture_predicate_by_cycles, conjecture_report_by_sweep
+from oracles import (
+    conjecture_predicate_by_cycles,
+    conjecture_report_by_sweep,
+    predicate_permutations_by_cycle_lists,
+)
 
 
 def test_direction_changes_examples():
@@ -120,6 +124,13 @@ def test_predicate_permutations_are_exactly_the_predicate_set(degree, size):
     expected = {p for p in everything if conjecture.conjecture_predicate(p)}
     assert len(built) == len(set(built)) == size
     assert set(built) == expected
+
+
+@pytest.mark.parametrize("degree", range(10))
+def test_predicate_permutations_keep_the_cycle_list_order(degree):
+    # the interval blocks give the recursive cycle lists' permutations, in their order
+    built = list(conjecture.iter_predicate_permutations(degree))
+    assert built == list(predicate_permutations_by_cycle_lists(degree))
 
 
 def test_check_conjecture_past_the_default_cap():

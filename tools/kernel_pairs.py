@@ -6,8 +6,10 @@ Usage, from the root of a checkout:
     python3 tools/kernel_pairs.py --parent PARENT_DIR --change . [--rounds 21] [KERNEL ...]
 
 Each side imports cfckit from the src/ directory of its checkout.  A kernel
-is a call on cfckit's public names, such as ``"enumerate_fc(8)"``; without
-any, the default list below runs.  Both interpreters first make one
+is a call on cfckit's public names, its submodules among them, such as
+``"enumerate_fc(8)"`` or ``"classify.enumerate_sorted('cfc', 9)"``; each
+side must have every name a kernel calls.  Without any, the default list
+below runs.  Both interpreters first make one
 untimed call of every kernel.  Then each round times one call per side,
 the parent first in even rounds and the change first in odd ones, so a
 slow stretch of a shared machine falls on both sides.  The result is one
@@ -35,6 +37,8 @@ DEFAULT_KERNELS = (
     "check_conjecture(10, max_rank=10)",
     "enumerate_cfc(9)",
     "enumerate_coxeter(9)",
+    "classify.enumerate_sorted('cfc', 9)",
+    "list(conjecture.iter_predicate_permutations(9))",
     "is_cyclically_reduced((4, 2, 6, 1, 3, 5, 8, 7, 9), 9)",
     "class_table(5)",
     "class_table(6)",
