@@ -24,7 +24,7 @@ plus one.  One lazy depth-first walk, ``_run_words``, writes the words down
 under each of the three rules, for :func:`enumerate_fc`,
 :func:`enumerate_cfc`, :func:`enumerate_coxeter`, the CLI's listing
 :func:`enumerate_sorted` (filed by length as written, with no set) and
-the conjecture sweep (class tables, which list every reduced word, read
+the conjecture check (class tables, which list every reduced word, read
 each element off its leaf of ``words.distinct_letter_classes`` instead):
 
 >>> sorted(enumerate_coxeter(3))

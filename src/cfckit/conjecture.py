@@ -13,26 +13,38 @@ The conjectured characterization (every cycle has connected support and
 at most one direction change iff the element is CFC) is open; the checker
 reports disagreements as data, never as failure.
 
-The checker settles every permutation of the degree while visiting only
-the ones that can disagree: the images of the CFC words, written down as
-disjoint decreasing runs by ``classify._run_words``, and the predicate's
-permutations, built from cycles by :func:`iter_predicate_permutations`,
-independently of the words.  The supports of a predicate permutation's
-cycles are intervals partitioning 1..n, so its one-line form is one
-block per interval, the values of that interval's cycle; each interval's
-blocks are built once per sweep and each permutation is one
-concatenation of blocks.  A permutation in neither set is not CFC and
-fails the predicate, so the two verdicts agree without being computed.  No
-pattern scan runs: a permutation is CFC exactly when no letter repeats in
-its canonical word, which ``perms.word_from_permutation`` writes down in
-O(n + l).
+The checker settles every permutation of degree n+1 by one comparison per
+interval size k in 2..n+1.  It rests on three facts:
+
+- CFC factorization: a CFC element uses each support generator once
+  (Boothby et al. 2012), so the runs of its support cut 1..n+1 into
+  intervals and its image is one block per interval, a fixed point on an
+  interval of size 1 and, on one of size k >= 2, the image of a Coxeter
+  element of the k-1 generators inside it, a single k-cycle (a Boolean
+  permutation, Tenner 2007).  Every such concatenation is CFC.
+- Unimodal-block factorization: a permutation satisfies the predicate iff
+  the supports of its cycles are intervals partitioning 1..n+1 and each
+  cycle, least entry first, rises to its maximum and then falls.  Its
+  one-line form is one block per interval, the values of that interval's
+  cycle (:func:`_cycle_blocks`).
+- Translation invariance: a block of either kind on [a, a+k-1] is a block
+  of that kind on [1, k] with a-1 added to every value.
+
+Each block of either kind is a single cycle, so a permutation's blocks
+are its cycles and it factors in one way only.  The CFC permutations
+and the predicate permutations are therefore the same set iff, for each
+k, the images of the 2^(k-2) Coxeter words of rank k-1 are the blocks
+``_cycle_blocks(1, k)``.  The word side comes from ``classify._run_words``
+and the cycle side from :func:`_cycle_blocks`; neither reads the other.
+A permutation in neither set is not CFC and fails the predicate, so it
+agrees without a visit.  No pattern scan runs and the predicate itself is
+not called: the tests tie :func:`_cycle_blocks` to it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 from . import classify, perms
@@ -41,7 +53,7 @@ from .errors import NotAPermutation
 Word = tuple[int, ...]
 Perm = tuple[int, ...]
 
-CONJECTURE_RANK_CAP = 8
+CONJECTURE_RANK_CAP = 17
 
 
 @dataclass(frozen=True)
@@ -114,9 +126,9 @@ def conjecture_predicate(p: Perm) -> bool:
 
     >>> conjecture_predicate((2, 3, 4, 5, 1))
     True
-    >>> conjecture_predicate(perms.from_cycles([(1, 4, 3, 5, 2)], 5))
+    >>> conjecture_predicate((4, 1, 5, 3, 2))  # the cycle (1, 4, 3, 5, 2)
     False
-    >>> conjecture_predicate(perms.from_cycles([(1, 3), (2, 4)], 4))
+    >>> conjecture_predicate((3, 4, 1, 2))  # (1, 3)(2, 4)
     False
     """
     degree = len(p)
@@ -149,52 +161,6 @@ def _refuted(p: Perm) -> bool:
     return False
 
 
-def iter_predicate_permutations(degree: int) -> Iterator[Perm]:
-    """
-    Every permutation of 1..degree that satisfies :func:`conjecture_predicate`,
-    each once.  The supports of its cycles are intervals partitioning
-    1..degree, and a min-first cycle on [a, b] with at most one direction
-    change rises from a to b and then falls, so it is fixed by the values
-    it passes on the way up: 2^(b-a-1) cycles per interval.
-
-    The one-line form is therefore the concatenation of one block per
-    interval, the values p(a), ..., p(b) of its cycle
-    (:func:`_cycle_blocks`).  A depth-first walk over the compositions of
-    1..degree, with an explicit stack of iterators, appends a block per
-    step.  Each interval's blocks are built once per call, when the walk
-    first reaches that interval, so the walk stays lazy at any degree.
-    The order: at each start a fixed point comes first, then the intervals
-    by increasing end, each with its blocks in the order of
-    :func:`_cycle_blocks`.
-
-    >>> sorted(iter_predicate_permutations(3))
-    [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
-    """
-    if degree < 1:
-        yield ()
-        return
-    built: dict[tuple[int, int], list[Perm]] = {}
-
-    def blocks_from(start: int) -> Iterator[Perm]:
-        for end in range(start, degree + 1):
-            if (start, end) not in built:
-                built[start, end] = _cycle_blocks(start, end)
-            yield from built[start, end]
-
-    stack = [((), blocks_from(1))]  # (one-line prefix, blocks that may extend it)
-    while stack:
-        prefix, blocks = stack[-1]
-        for block in blocks:
-            line = prefix + block
-            if len(line) == degree:
-                yield line
-            else:
-                stack.append((line, blocks_from(len(line) + 1)))
-                break
-        else:
-            stack.pop()
-
-
 def _cycle_blocks(a: int, b: int) -> list[Perm]:
     """
     The values p(a), ..., p(b) of each min-first cycle on [a, b] with at
@@ -225,33 +191,62 @@ def _cycle_blocks(a: int, b: int) -> list[Perm]:
     return blocks
 
 
+def _coxeter_blocks(k: int) -> set[Perm]:
+    """The images in S_k of the 2^(k-2) Coxeter words of rank k-1, the
+    words of full length that ``classify._run_words`` writes under the
+    Coxeter rule."""
+    found = classify._run_words(k - 1, classify._coxeter_follows)
+    return {perms.to_permutation(w, k - 1) for w in found if len(w) == k - 1}
+
+
+def _counterexamples(degree: int) -> list[tuple[Word, Perm, bool, bool]]:
+    """
+    The permutations of the degree in one of the two sets only, sorted by
+    one-line form: each is a concatenation of one side's interval blocks
+    with at least one block the other side lacks.  One from the Coxeter
+    side is CFC and fails the predicate, (False, True); one from the cycle
+    side is the reverse, (True, False).  Each carries its canonical word.
+    """
+    blocks = {1: ({(1,)}, {(1,)})}  # size -> (Coxeter blocks, cycle blocks) on 1..size
+    blocks.update((k, (_coxeter_blocks(k), set(_cycle_blocks(1, k)))) for k in range(2, degree + 1))
+    found = []
+    for side, verdicts in ((0, (False, True)), (1, (True, False))):
+        stack = [((), False)]  # (one-line prefix, whether a block of it is foreign)
+        while stack:
+            line, foreign = stack.pop()
+            start = len(line)
+            if start == degree:
+                if foreign:
+                    found.append((perms.word_from_permutation(line), line, *verdicts))
+                continue
+            for k in range(1, degree - start + 1):
+                other = blocks[k][1 - side]
+                for block in blocks[k][side]:
+                    stack.append((line + tuple(v + start for v in block), foreign or block not in other))
+    found.sort(key=lambda c: c[1])
+    return found
+
+
 def check_conjecture(rank: int, max_rank: int = CONJECTURE_RANK_CAP) -> ConjectureReport:
     """
     Compare the cycle predicate with the CFC verdict on every permutation
     of degree rank+1; each counterexample carries its canonical word.
 
-    Two lazy passes visit the permutations that can disagree.  The first
-    runs the predicate on the image of every CFC word, which is CFC by
-    construction and is the image's canonical word.  The second writes down
-    the canonical word of every permutation that
-    :func:`iter_predicate_permutations` concatenates from its interval
-    blocks, in O(n + l), and keeps those in which a letter repeats, the
-    ones that are not CFC; the CFC ones were settled in the first pass.
-    Both passes build each permutation once, as one tuple.  Any other
-    permutation is not CFC and fails the predicate, so it agrees; it is
-    accounted for without a visit, and ``elements_checked`` stays (rank+1)!.
+    One comparison per interval size k settles them all (see the module
+    docstring): the Coxeter images in S_k against ``_cycle_blocks(1, k)``,
+    2^(k-2) permutations a side, one size at a time.  Only if some size
+    disagrees are the counterexamples listed, from the blocks of both
+    sides.  ``elements_checked`` is (rank+1)!.
 
     >>> check_conjecture(2).agree
     True
     """
     classify._check_enum_rank(rank, max_rank)
     degree = rank + 1
-    cfc_words = classify._run_words(rank, classify._cfc_follows)
-    cfc_images = ((w, perms.to_permutation(w, rank)) for w in cfc_words)
-    counterexamples = [(w, p, False, True) for w, p in cfc_images if not conjecture_predicate(p)]
-    canonical = ((perms.word_from_permutation(p), p) for p in iter_predicate_permutations(degree))
-    counterexamples += [(w, p, True, False) for w, p in canonical if len(set(w)) < len(w)]
-    counterexamples.sort(key=lambda c: c[1])
+    if all(_coxeter_blocks(k) == set(_cycle_blocks(1, k)) for k in range(2, degree + 1)):
+        counterexamples = []
+    else:
+        counterexamples = _counterexamples(degree)
     return ConjectureReport(
         rank=rank,
         elements_checked=math.factorial(degree),

@@ -122,20 +122,6 @@ def cycles(p: Perm) -> tuple[tuple[int, ...], ...]:
     return tuple(out)
 
 
-def from_cycles(cycs, degree: int) -> Perm:
-    """
-    Rebuild a one-line permutation from disjoint cycles.
-
-    >>> from_cycles([(1, 2, 4, 5)], 5)
-    (2, 4, 3, 5, 1)
-    """
-    line = list(range(1, degree + 1))
-    for cyc in cycs:
-        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            line[a - 1] = b
-    return tuple(line)
-
-
 def cycle_type(p: Perm) -> tuple[int, ...]:
     """
     Multiset of cycle lengths including fixed points, sorted descending.

@@ -3,9 +3,11 @@
 Everything here is deliberately naive: breadth-first search in the Cayley
 graph for lengths, itertools scans for patterns, full conjugation sweeps
 for conjugacy, sweeps of the whole symmetric group for FC enumeration
-and the conjecture check, the cycle-shape predicate read cycle by cycle,
-the predicate permutations rebuilt from recursive cycle lists,
-the plain 321-avoider search (every
+and the conjecture check, the two-pass conjecture check over the CFC
+images and the predicate permutations, the cycle-shape predicate read
+cycle by cycle, the predicate permutations as concatenations of interval
+blocks and rebuilt from recursive cycle lists, the one-line form rebuilt
+from cycles, the plain 321-avoider search (every
 321-avoider, lifted to its word), the earlier listing kernels (linear
 extensions by a heap queue, the lift that rescans from generator 1, the
 breadth-first commutation walk), the word-level FC / CFC routes that
@@ -15,6 +17,7 @@ of chunks and the comparison of two heaps as labeled posets.  Expected values fr
 """
 
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations, permutations, product
@@ -209,6 +212,15 @@ def conjecture_predicate_by_cycles(p):
     )
 
 
+def from_cycles(cycs, degree):
+    """Rebuild a one-line permutation from disjoint cycles."""
+    line = list(range(1, degree + 1))
+    for cyc in cycs:
+        for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+            line[a - 1] = b
+    return tuple(line)
+
+
 def conjecture_report_by_sweep(rank):
     """The conjecture report, by comparing both verdicts on every one of the
     (rank+1)! permutations."""
@@ -228,13 +240,72 @@ def conjecture_report_by_sweep(rank):
     )
 
 
+def conjecture_report_by_two_passes(rank):
+    """The conjecture report from the permutations that can disagree, in two
+    passes: the predicate on the image of every CFC word, and the canonical
+    word of every predicate permutation, rebuilt from cycle lists
+    (:func:`predicate_permutations_by_cycle_lists`), where a repeated letter
+    marks a permutation that is not CFC.  Any other permutation is not CFC
+    and fails the predicate."""
+    cfc_words = classify._run_words(rank, classify._cfc_follows)
+    cfc_images = ((w, perms.to_permutation(w, rank)) for w in cfc_words)
+    counterexamples = [
+        (w, p, False, True) for w, p in cfc_images if not conjecture.conjecture_predicate(p)
+    ]
+    built = predicate_permutations_by_cycle_lists(rank + 1)
+    canonical = ((perms.word_from_permutation(p), p) for p in built)
+    counterexamples += [(w, p, True, False) for w, p in canonical if len(set(w)) < len(w)]
+    return conjecture.ConjectureReport(
+        rank=rank,
+        elements_checked=math.factorial(rank + 1),
+        agree=not counterexamples,
+        counterexamples=tuple(sorted(counterexamples, key=lambda c: c[1])),
+    )
+
+
+def iter_predicate_permutations(degree):
+    """
+    The predicate permutations in the order of
+    :func:`predicate_permutations_by_cycle_lists`, each the concatenation
+    of one block per interval of its cycles' supports, the values of that
+    interval's cycle (``conjecture._cycle_blocks``).  A depth-first walk
+    over the compositions of 1..degree, with an explicit stack of
+    iterators, appends a block per step; each interval's blocks are built
+    once per call, when the walk first reaches that interval, so the walk
+    stays lazy at any degree.
+    """
+    if degree < 1:
+        yield ()
+        return
+    built = {}
+
+    def blocks_from(start):
+        for end in range(start, degree + 1):
+            if (start, end) not in built:
+                built[start, end] = conjecture._cycle_blocks(start, end)
+            yield from built[start, end]
+
+    stack = [((), blocks_from(1))]  # (one-line prefix, blocks that may extend it)
+    while stack:
+        prefix, blocks = stack[-1]
+        for block in blocks:
+            line = prefix + block
+            if len(line) == degree:
+                yield line
+            else:
+                stack.append((line, blocks_from(len(line) + 1)))
+                break
+        else:
+            stack.pop()
+
+
 def predicate_permutations_by_cycle_lists(degree):
     """The predicate permutations, in the order the package yields them,
     from a recursive chain of cycle-list generators: at each start a fixed
     point first, then each interval [start, end] by increasing end, its
     cycles (start, up..., end, reversed(down)...) in ``product`` order of
     the values that go up, each followed by every cycle list of the rest;
-    every list is rebuilt into one-line form by ``perms.from_cycles``."""
+    every list is rebuilt into one-line form by :func:`from_cycles`."""
 
     def cycle_lists(start):
         if start > degree:
@@ -251,7 +322,7 @@ def predicate_permutations_by_cycle_lists(degree):
                     yield (cycle, *rest)
 
     for cycs in cycle_lists(1):
-        yield perms.from_cycles(cycs, degree)
+        yield from_cycles(cycs, degree)
 
 
 def lex_min_linear_extension(gens, edges):

@@ -157,13 +157,14 @@ def test_counts_build_no_element(monkeypatch):
 
 
 def test_conjecture_sweep_stays_on_permutations(calls):
-    # one image per CFC word and one canonical word per predicate permutation,
-    # F(2*rank+1) of each, and no input check: the words are CFC by
-    # construction and the predicate side is built from cycles
-    for rank, fibonacci in [(3, 13), (4, 34), (5, 89), (6, 233), (7, 610)]:
+    # one image per Coxeter word of rank k-1 for each interval size k in
+    # 2..rank+1, 2^rank - 1 in all, and no input check or canonical word:
+    # the words are Coxeter elements by construction and the cycle side is
+    # built from cycles
+    for rank in range(3, 8):
         calls.clear()
         assert conjecture.check_conjecture(rank).agree
-        assert calls == Counter(to_permutation=fibonacci, word_from_permutation=fibonacci)
+        assert calls == Counter(to_permutation=2**rank - 1)
 
 
 def test_enumerate_fc_writes_words_without_permutations(monkeypatch):
@@ -174,13 +175,20 @@ def test_enumerate_fc_writes_words_without_permutations(monkeypatch):
 
 @pytest.mark.parametrize("rank, fibonacci", [(3, 13), (4, 34), (5, 89), (6, 233), (7, 610)])
 def test_conjecture_check_scans_only_the_predicate_permutations(monkeypatch, rank, fibonacci):
-    # the CFC permutations are CFC by construction, and each of the
-    # F(2*rank+1) predicate permutations is CFC iff no letter repeats in its
-    # canonical word, so no permutation gets a pattern scan
+    # the check compares interval blocks: the Coxeter images are CFC by
+    # construction and the cycle blocks are built as the predicate's, so no
+    # permutation gets a pattern scan or a canonical word
     counted = [(perms, "find_321"), (perms, "find_3412"), (perms, "word_from_permutation")]
     counts = _count(monkeypatch, counted)
     assert conjecture.check_conjecture(rank).agree
-    assert counts == Counter(word_from_permutation=fibonacci)
+    assert counts == Counter()
+    # one block per part of a composition of 1..rank+1 makes up the
+    # F(2*rank+1) predicate permutations: ways[j] of them on 1..j
+    ways = [1]
+    for j in range(1, rank + 2):
+        blocks = [len(conjecture._cycle_blocks(1, k)) for k in range(1, j + 1)]
+        ways.append(sum(size * ways[j - k] for k, size in enumerate(blocks, 1)))
+    assert ways[-1] == fibonacci
 
 
 @pytest.mark.parametrize(

@@ -258,25 +258,37 @@ def test_report_round_trip():
 
 
 def test_report_carries_counterexamples(monkeypatch):
-    # a disagreement, should one ever appear, must survive serialization;
-    # the loader recomputes both verdicts, so the predicate is made to disagree
-    predicate = conjecture.conjecture_predicate
+    # a disagreement, should one ever appear, must survive serialization; the
+    # check compares interval blocks and the loader recomputes the predicate,
+    # so both are made to reject the cycle (a, a+1, a+2) on every interval
+    blocks, predicate = conjecture._cycle_blocks, conjecture.conjecture_predicate
     monkeypatch.setattr(
-        conjecture, "conjecture_predicate", lambda p: p != (2, 3, 1, 4) and predicate(p)
+        conjecture, "_cycle_blocks", lambda a, b: [x for x in blocks(a, b) if x != (a + 1, a + 2, a)]
+    )
+    monkeypatch.setattr(
+        conjecture,
+        "conjecture_predicate",
+        lambda p: predicate(p) and all(p[i : i + 3] != (i + 2, i + 3, i + 1) for i in range(len(p))),
     )
     report = conjecture.check_conjecture(3)
-    assert report.counterexamples == (((1, 2), (2, 3, 1, 4), False, True),)
+    assert report.counterexamples == (
+        ((2, 3), (1, 3, 4, 2), False, True),
+        ((1, 2), (2, 3, 1, 4), False, True),
+    )
     obj = json.loads(json.dumps(serialize.report_to_obj(report)))
     rebuilt = serialize.report_from_obj(obj)
     assert rebuilt == report
-    assert rebuilt.counterexamples[0][1] == (2, 3, 1, 4)
+    assert [c[1] for c in rebuilt.counterexamples] == [(1, 3, 4, 2), (2, 3, 1, 4)]
 
 
 @pytest.mark.parametrize("rank", range(1, 7))
 def test_reports_with_counterexamples_match_the_sweep_and_round_trip(monkeypatch, rank):
     # a stricter predicate, every cycle of length at most 3, disagrees with
-    # CFC from rank 3 on; both routes must find the same counterexamples
-    predicate = conjecture.conjecture_predicate
+    # CFC from rank 3 on; it is stated twice, as no cycle block longer than
+    # 3 for the check and cycle by cycle for the sweep and the loader, and
+    # both routes must find the same counterexamples
+    blocks, predicate = conjecture._cycle_blocks, conjecture.conjecture_predicate
+    monkeypatch.setattr(conjecture, "_cycle_blocks", lambda a, b: blocks(a, b) if b - a < 3 else [])
     monkeypatch.setattr(
         conjecture,
         "conjecture_predicate",

@@ -35,10 +35,10 @@ DEFAULT_KERNELS = (
     "check_conjecture(8)",
     "check_conjecture(9, max_rank=9)",
     "check_conjecture(10, max_rank=10)",
+    "check_conjecture(12, max_rank=12)",
     "enumerate_cfc(9)",
     "enumerate_coxeter(9)",
     "classify.enumerate_sorted('cfc', 9)",
-    "list(conjecture.iter_predicate_permutations(9))",
     "is_cyclically_reduced((4, 2, 6, 1, 3, 5, 8, 7, 9), 9)",
     "class_table(5)",
     "class_table(6)",
