@@ -4,12 +4,13 @@ commutation class.
 The leaves of a table partition every reduced expression of every CFC
 element of the rank.  In type A those are exactly the words over 1..rank
 with no repeated letter, so each CFC element is one leaf of
-``words.distinct_letter_classes``, which builds them all in one pass, each
-sorted, and a cap error comes before any element is grouped.  The leaves
-are CFC by construction and none is checked again.  The leaves are filed
-by support, and each support gets one class key (``classify.class_key``),
-at most 2^rank of them: the ring sizes fix the conjugacy class, and the
-sorted support, the cyclic class, so each support is one cyclic class.
+``words.distinct_letter_classes``, which builds them a whole leaf at a
+time, each sorted, and a cap error comes before any element is grouped.
+The leaves are CFC by construction and none is checked again.  They are
+filed by support, and each support gets one class key
+(``classify.class_key``), at most 2^rank of them: the ring sizes fix the
+conjugacy class, and the sorted support, the cyclic class, so each support
+is one cyclic class.
 """
 
 from __future__ import annotations

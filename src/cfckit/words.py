@@ -18,8 +18,8 @@ orbit and the word-level FC/CFC routes run through it.  Commutation classes
 are built, not walked: one at a time by :func:`linear_extensions`, and all
 the classes of the words with no repeated letter (the reduced expressions
 of the CFC elements, the leaves of a class table) at once by
-:func:`distinct_letter_classes`, one depth-first pass that files each word
-under its heap.  All three are exponential in the worst case, so each holds
+:func:`distinct_letter_classes`, each its parents' classes with one letter
+prepended.  All three are exponential in the worst case, so each holds
 at most the word cap set by the ``CFC_MAX_CLOSURE`` environment variable
 (default 10**6), and past it raises ClosureTooLarge naming the operation.
 """
@@ -224,49 +224,37 @@ def linear_extensions(word: Word, operation: str) -> list[Word]:
 def distinct_letter_classes(rank: int) -> list[tuple[Word, ...]]:
     """
     Every word over 1..rank with no repeated letter, grouped into its
-    commutation class in one depth-first pass, which files each word under
-    its heap: two bitmasks, its support and the g that precede g+1 in it,
-    each updated in O(1) per appended letter.  The pass pops words in
-    lexicographic order and files each one's children as it pops it, so the
-    words of each length, and with them each class, come in lexicographic
-    order: each class comes out a sorted tuple, its first word least.  Past
-    :func:`closure_cap` words in one class it raises ClosureTooLarge naming
-    ``commutation_class``.
+    commutation class: the linear extensions of its heap, keyed by its
+    support and the g that precede g+1 in it.  One pass per word length
+    builds the classes whole.  A class's words that start with a are a
+    prepended to each word of one shorter class, whose key gains a in the
+    support, and in the up mask if a+1 is in the support: no word is keyed.
+    The letters go in ascending order and each shorter class is sorted, so
+    each class comes out a sorted tuple, its first word least, with no sort.
+    A block that would take a class past :func:`closure_cap` words raises
+    ClosureTooLarge naming ``commutation_class`` before it is built.
 
     >>> leaves = distinct_letter_classes(3)
     >>> len(leaves), sorted(leaf for leaf in leaves if len(leaf) > 1)
     (13, [((1, 3), (3, 1)), ((1, 3, 2), (3, 1, 2)), ((2, 1, 3), (2, 3, 1))])
     """
     cap = closure_cap()
-    full = (1 << (rank + 1)) - 2
-    classes = {(0, 0): [()]}
-    # per support reached: (letter, support with it, its up bit) for each
-    # free letter, the largest first, so the stack pops the least first
-    free: dict[int, list[tuple[int, int, int]]] = {}
-    stack = [((), 0, 0)]  # (word, its support, the g that precede g+1 in it)
-    while stack:
-        word, support, up = stack.pop()
-        letters = free.get(support)
-        if letters is None:
-            letters = free[support] = [
-                (a, support | 1 << a, support & (1 << (a - 1)))
-                for a in range(rank, 0, -1)
-                if not support & (1 << a)
-            ]
-        for a, grown, after in letters:
-            child = word + (a,)
-            key = (grown, up | after)
-            leaf = classes.get(key)
-            if leaf is None:
-                classes[key] = [child]
-            elif len(leaf) < cap:
-                leaf.append(child)
-            else:
-                raise _past_cap("commutation_class", cap)
-            if grown != full:  # a word with every letter has no children
-                stack.append((child, grown, key[1]))
-    # each class list goes as its tuple comes, so the two never all coexist
-    return [tuple(classes.popitem()[1]) for _ in range(len(classes))]
+    leaves: list[tuple[Word, ...]] = []
+    level = {(0, 0): ((),)}  # (support, the g that precede g+1) -> its class
+    while level:
+        leaves += level.values()
+        grown: dict[tuple[int, int], list[Word]] = {}
+        for a in range(1, rank + 1):
+            bit, piece = 1 << a, (a,)
+            for (support, up), leaf in level.items():
+                if support & bit:
+                    continue
+                child = grown.setdefault((support | bit, up | bit if support & bit << 1 else up), [])
+                if len(child) + len(leaf) > cap:
+                    raise _past_cap("commutation_class", cap)
+                child += [piece + w for w in leaf]
+        level = {key: tuple(child) for key, child in grown.items()}
+    return leaves
 
 
 def iter_reduced_expressions(word, rank: int, operation: str = "reduced_expressions") -> Iterator[Word]:

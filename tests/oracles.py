@@ -10,7 +10,8 @@ blocks and rebuilt from recursive cycle lists, the one-line form rebuilt
 from cycles, the plain 321-avoider search (every
 321-avoider, lifted to its word), the earlier listing kernels (linear
 extensions by a heap queue, the lift that rescans from generator 1, the
-breadth-first commutation walk), the word-level FC / CFC routes that
+breadth-first commutation walk, the depth-first walk that files each
+distinct-letter word under its heap), the word-level FC / CFC routes that
 decide each verdict from its definition, and the heap-level ones: the
 forbidden-pattern scan of the stacked blocks, the pairwise union-find
 of chunks and the comparison of two heaps as labeled posets.  Expected values frozen into the tests were computed with these.
@@ -282,7 +283,7 @@ def iter_predicate_permutations(degree):
     def blocks_from(start):
         for end in range(start, degree + 1):
             if (start, end) not in built:
-                built[start, end] = conjecture._cycle_blocks(start, end)
+                built[start, end] = list(conjecture._cycle_blocks(start, end))
             yield from built[start, end]
 
     stack = [((), blocks_from(1))]  # (one-line prefix, blocks that may extend it)
@@ -401,6 +402,44 @@ def commutation_class_by_walk(word):
                     seen.add(v)
                     queue.append(v)
     return frozenset(seen)
+
+
+def distinct_letter_classes_by_walk(rank):
+    """The leaves of a class table by the earlier depth-first walk: it pops
+    the words with no repeated letter in lexicographic order and files each
+    child under its heap, two bitmasks updated per appended letter, so each
+    class comes out sorted.  Past the cap in one class it raises as
+    ``words.distinct_letter_classes`` does."""
+    cap = words.closure_cap()
+    full = (1 << (rank + 1)) - 2
+    classes = {(0, 0): [()]}
+    # per support reached: (letter, support with it, its up bit) for each
+    # free letter, the largest first, so the stack pops the least first
+    free = {}
+    stack = [((), 0, 0)]  # (word, its support, the g that precede g+1 in it)
+    while stack:
+        word, support, up = stack.pop()
+        letters = free.get(support)
+        if letters is None:
+            letters = free[support] = [
+                (a, support | 1 << a, support & (1 << (a - 1)))
+                for a in range(rank, 0, -1)
+                if not support & (1 << a)
+            ]
+        for a, grown, after in letters:
+            child = word + (a,)
+            key = (grown, up | after)
+            leaf = classes.get(key)
+            if leaf is None:
+                classes[key] = [child]
+            elif len(leaf) < cap:
+                leaf.append(child)
+            else:
+                raise words._past_cap("commutation_class", cap)
+            if grown != full:  # a word with every letter has no children
+                stack.append((child, grown, key[1]))
+    # each class list goes as its tuple comes, so the two never all coexist
+    return [tuple(classes.popitem()[1]) for _ in range(len(classes))]
 
 
 def class_table_by_oracles(rank):

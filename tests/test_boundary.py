@@ -186,7 +186,7 @@ def test_conjecture_check_scans_only_the_predicate_permutations(monkeypatch, ran
     # F(2*rank+1) predicate permutations: ways[j] of them on 1..j
     ways = [1]
     for j in range(1, rank + 2):
-        blocks = [len(conjecture._cycle_blocks(1, k)) for k in range(1, j + 1)]
+        blocks = [len(list(conjecture._cycle_blocks(1, k))) for k in range(1, j + 1)]
         ways.append(sum(size * ways[j - k] for k, size in enumerate(blocks, 1)))
     assert ways[-1] == fibonacci
 

@@ -149,7 +149,7 @@ def test_a_dropped_cycle_block_is_reported_wherever_it_occurs(monkeypatch, rank)
     # the counterexamples are exactly the predicate permutations that hold
     # the dropped block on some interval, CFC and reported to fail the predicate
     blocks = conjecture._cycle_blocks
-    dropped = blocks(1, 3)[1]
+    dropped = list(blocks(1, 3))[1]
     monkeypatch.setattr(
         conjecture, "_cycle_blocks", lambda a, b: [x for x in blocks(a, b) if _shape(x, a) != dropped]
     )
@@ -172,7 +172,7 @@ def test_a_cycle_block_with_two_entries_swapped_is_reported(monkeypatch, rank):
     blocks = conjecture._cycle_blocks
 
     def swapped(a, b):
-        found = blocks(a, b)
+        found = list(blocks(a, b))
         if b - a == 3:
             first = found[0]
             found[0] = (first[1], first[0], *first[2:])

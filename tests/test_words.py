@@ -11,6 +11,7 @@ from oracles import (
     cayley_lengths,
     commutation_class_by_walk,
     definition,
+    distinct_letter_classes_by_walk,
     single_commutation_class,
     stembridge_scan,
     word_image,
@@ -186,6 +187,29 @@ def test_distinct_letter_classes_are_the_sorted_commutation_classes(rank, distin
     for leaf in leaves:
         assert all(u < v for u, v in zip(leaf, leaf[1:]))
         assert leaf == tuple(sorted(words.linear_extensions(leaf[0], "demo")))
+
+
+@pytest.mark.parametrize("rank", range(1, 9))
+def test_distinct_letter_classes_match_the_walk(rank):
+    # leaf for leaf, each the identical sorted tuple; the two list them in
+    # different orders, so compare them sorted
+    assert sorted(words.distinct_letter_classes(rank)) == sorted(distinct_letter_classes_by_walk(rank))
+
+
+@pytest.mark.parametrize("rank", range(3, 7))
+def test_distinct_letter_classes_stop_at_the_cap_of_the_walk(monkeypatch, rank):
+    largest = max(map(len, distinct_letter_classes_by_walk(rank)))
+    monkeypatch.setenv(words.CLOSURE_CAP_ENV, str(largest - 1))
+    messages = []
+    for build in (words.distinct_letter_classes, distinct_letter_classes_by_walk):
+        with pytest.raises(ClosureTooLarge) as info:
+            build(rank)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1] == (
+        f"commutation_class: visited {largest} reduced words, past the cap of {largest - 1}"
+    )
+    monkeypatch.setenv(words.CLOSURE_CAP_ENV, str(largest))
+    assert sorted(words.distinct_letter_classes(rank)) == sorted(distinct_letter_classes_by_walk(rank))
 
 
 def reduced_words(rank, max_length):

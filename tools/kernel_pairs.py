@@ -40,6 +40,8 @@ DEFAULT_KERNELS = (
     "enumerate_coxeter(9)",
     "classify.enumerate_sorted('cfc', 9)",
     "is_cyclically_reduced((4, 2, 6, 1, 3, 5, 8, 7, 9), 9)",
+    "words.distinct_letter_classes(7)",
+    "words.distinct_letter_classes(8)",
     "class_table(5)",
     "class_table(6)",
     "class_table(7)",
